@@ -14,7 +14,6 @@ from .geometry import (
     canonical_move,
     cross,
     format_point,
-    format_rational,
     parse_point,
     parse_rational,
     point_denominator,
@@ -22,11 +21,9 @@ from .geometry import (
 from .dynamics import (
     AugmentedTrajectory,
     NotOnBoundary,
-    ParticleState,
     Trajectory,
     TrajectoryStatus,
     antipode,
-    attack_map,
     augment,
     corner_trajectories,
     format_trajectory,
@@ -43,7 +40,6 @@ from .arrangement import (
     arrangement_of,
     classify_cycle,
     enumerate_rigid_cycles,
-    independent_subsystem,
     matrix_rank,
     partition_into_trajectories,
     solve_square_system,
@@ -80,12 +76,5 @@ from .counting import (
 )
 from .floatsim import FloatPath, simulate_float
 from .svgrender import RenderPath, RenderSpec, render_svg
-from .cli import (
-    ParallelMoves,
-    ParseError,
-    ProblemConfig,
-    parse_config,
-    serialize_config,
-)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

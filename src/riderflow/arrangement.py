@@ -18,12 +18,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .geometry import (
-    Board,
     InternalInvariantError,
     LocationKind,
-    Move,
     Point2,
-    cross,
 )
 from .dynamics import (
     Trajectory,
@@ -49,8 +46,6 @@ class Hyperplane:
     normal: tuple
     offset: Fraction
     kind: str  # "attack" or "fixation"
-    pieces: tuple
-    tag: str
 
 
 @dataclass(frozen=True)
@@ -68,55 +63,50 @@ class HyperplaneSystem:
         return self.rank() == 2 * self.q
 
 
+def _eliminate(work, ncols, full_rank=False):
+    """Row-reduce `work` in place to echelon form on its first ncols columns.
+
+    Returns the number of pivots.  With `full_rank`, gives up and returns
+    None at the first of those columns without a pivot.
+    """
+    nrows = len(work)
+    width = len(work[0]) if work else 0
+    rank = 0
+    for col in range(ncols):
+        for pivot in range(rank, nrows):
+            if work[pivot][col] != 0:
+                break
+        else:
+            if full_rank:
+                return None
+            continue
+        work[rank], work[pivot] = work[pivot], work[rank]
+        top = work[rank]
+        lead = top[col]
+        for r in range(rank + 1, nrows):
+            row = work[r]
+            if row[col] != 0:
+                factor = row[col] / lead
+                for c in range(col, width):
+                    row[c] -= factor * top[c]
+        rank += 1
+        if rank == nrows:
+            break
+    return rank
+
+
 def matrix_rank(rows):
     """Rank of a matrix given as an iterable of equal-length rows."""
     work = [[Fraction(v) for v in row] for row in rows]
-    if not work:
-        return 0
-    ncols = len(work[0])
-    rank = 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(rank, len(work)):
-            if work[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        lead = work[rank][col]
-        for r in range(rank + 1, len(work)):
-            if work[r][col] != 0:
-                factor = work[r][col] / lead
-                row = work[r]
-                top = work[rank]
-                for c in range(col, ncols):
-                    row[c] -= factor * top[c]
-        rank += 1
-        if rank == len(work):
-            break
-    return rank
+    return _eliminate(work, len(work[0]) if work else 0)
 
 
 def solve_square_system(rows, rhs):
     """Solve A x = b exactly; None when A is singular."""
     n = len(rows)
     work = [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if work[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            return None
-        work[col], work[pivot] = work[pivot], work[col]
-        lead = work[col][col]
-        for r in range(col + 1, n):
-            if work[r][col] != 0:
-                factor = work[r][col] / lead
-                for c in range(col, n + 1):
-                    work[r][c] -= factor * work[col][c]
+    if _eliminate(work, n, full_rank=True) is None:
+        return None
     solution = [Fraction(0)] * n
     for r in range(n - 1, -1, -1):
         acc = work[r][n]
@@ -124,6 +114,24 @@ def solve_square_system(rows, rhs):
             acc -= work[r][c] * solution[c]
         solution[r] = acc / work[r][r]
     return solution
+
+
+def _attack_normal(dim, i, j, move):
+    """Normal of cross(z_i - z_j, move) = 0 in R^dim."""
+    normal = [Fraction(0)] * dim
+    normal[2 * i] = Fraction(move.d)
+    normal[2 * i + 1] = Fraction(-move.c)
+    normal[2 * j] = Fraction(-move.d)
+    normal[2 * j + 1] = Fraction(move.c)
+    return tuple(normal)
+
+
+def _fixation_normal(dim, i, edge):
+    """Normal of edge.normal . z_i = edge.offset in R^dim."""
+    normal = [Fraction(0)] * dim
+    normal[2 * i] = Fraction(edge.normal[0])
+    normal[2 * i + 1] = Fraction(edge.normal[1])
+    return tuple(normal)
 
 
 def arrangement_of(board, moves, pieces):
@@ -139,53 +147,26 @@ def arrangement_of(board, moves, pieces):
         for j in range(i + 1, q):
             dx = pieces[i].x - pieces[j].x
             dy = pieces[i].y - pieces[j].y
-            for r, move in enumerate(moves, start=1):
+            for move in moves:
                 if dx * move.d - dy * move.c == 0:
-                    normal = [Fraction(0)] * dim
-                    normal[2 * i] = Fraction(move.d)
-                    normal[2 * i + 1] = Fraction(-move.c)
-                    normal[2 * j] = Fraction(-move.d)
-                    normal[2 * j + 1] = Fraction(move.c)
                     hyps.append(
                         Hyperplane(
-                            tuple(normal),
+                            _attack_normal(dim, i, j, move),
                             Fraction(0),
                             "attack",
-                            (i, j),
-                            f"attack {i}-{j} move {r}",
                         )
                     )
     for i, z in enumerate(pieces):
-        for e_idx, edge in enumerate(board.edges):
+        for edge in board.edges:
             if edge.side_of(z) == 0:
-                normal = [Fraction(0)] * dim
-                normal[2 * i] = Fraction(edge.normal[0])
-                normal[2 * i + 1] = Fraction(edge.normal[1])
                 hyps.append(
                     Hyperplane(
-                        tuple(normal),
+                        _fixation_normal(dim, i, edge),
                         Fraction(edge.offset),
                         "fixation",
-                        (i,),
-                        f"fix {i} edge {e_idx}",
                     )
                 )
     return HyperplaneSystem(q, tuple(hyps))
-
-
-def independent_subsystem(system):
-    """Greedy subsystem whose normals form a basis of the full span."""
-    kept = []
-    kept_normals = []
-    current = 0
-    for h in system.hyperplanes:
-        candidate = kept_normals + [h.normal]
-        r = matrix_rank(candidate)
-        if r > current:
-            kept.append(h)
-            kept_normals.append(h.normal)
-            current = r
-    return HyperplaneSystem(system.q, tuple(kept))
 
 
 @dataclass(frozen=True)

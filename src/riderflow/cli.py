@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import lcm
 from pathlib import Path
@@ -35,14 +35,18 @@ from .denominator import (
     closed_form_orthogonal,
     denominator,
 )
-from .dynamics import TrajectoryStatus, corner_trajectories, trace
+from .dynamics import (
+    TrajectoryStatus,
+    corner_trajectories,
+    format_trajectory,
+    trace,
+)
 from .floatsim import simulate_float
 from .geometry import (
     Board,
     InternalInvariantError,
     Point2,
     canonical_move,
-    format_rational,
     parse_point,
     parse_rational,
     point_denominator,
@@ -141,8 +145,7 @@ def serialize_config(config):
     else:
         board_value = {
             "corners": [
-                [format_rational(c.x), format_rational(c.y)]
-                for c in config.board.corners
+                [str(c.x), str(c.y)] for c in config.board.corners
             ]
         }
     data = {
@@ -154,10 +157,7 @@ def serialize_config(config):
     if config.n_max is not None:
         data["n_max"] = config.n_max
     if config.start is not None:
-        data["start"] = [
-            format_rational(config.start.x),
-            format_rational(config.start.y),
-        ]
+        data["start"] = [str(config.start.x), str(config.start.y)]
     data["first_move"] = config.first_move
     data["max_steps"] = config.max_steps
     return json.dumps(data, indent=2) + "\n"
@@ -178,49 +178,34 @@ def _parse_move_arg(text):
             from exc
 
 
+def _board_arg(text):
+    """The --board value: "square" or a JSON file with a corner list."""
+    if text == "square":
+        return Board.square()
+    return _board_from_value(json.loads(Path(text).read_text()))
+
+
 def _resolve_config(args):
     """Merge config file and command line; explicit flags win."""
-    if getattr(args, "config", None):
+    if args.config:
         config = parse_config(Path(args.config).read_text())
     else:
-        config = None
-    board = config.board if config else Board.square()
-    if getattr(args, "board", None):
-        if args.board == "square":
-            board = Board.square()
-        else:
-            board = _board_from_value(
-                json.loads(Path(args.board).read_text())
-            )
-    moves = config.moves if config else None
-    if getattr(args, "moves", None):
-        moves = _canonical_pair(
+        config = ProblemConfig(board=Board.square(), moves=None)
+    flags = {}
+    if args.board:
+        flags["board"] = _board_arg(args.board)
+    if args.moves:
+        flags["moves"] = _canonical_pair(
             [_parse_move_arg(text) for text in args.moves]
         )
-    if moves is None:
+    if flags.get("moves", config.moves) is None:
         raise ParseError("no moves given (use --moves or --config)")
-    take = lambda flag, fallback: fallback if flag is None else flag
-    return ProblemConfig(
-        board=board,
-        moves=moves,
-        q=take(getattr(args, "q", None), config.q if config else None),
-        n_max=take(
-            getattr(args, "n_max", None), config.n_max if config else None
-        ),
-        start=take(
-            None if getattr(args, "start", None) is None
-            else parse_point(args.start),
-            config.start if config else None,
-        ),
-        first_move=take(
-            getattr(args, "first_move", None),
-            config.first_move if config else 1,
-        ),
-        max_steps=take(
-            getattr(args, "max_steps", None),
-            config.max_steps if config else 10_000,
-        ),
-    )
+    for name in ("q", "n_max", "first_move", "max_steps"):
+        if getattr(args, name, None) is not None:
+            flags[name] = getattr(args, name)
+    if getattr(args, "start", None) is not None:
+        flags["start"] = parse_point(args.start)
+    return replace(config, **flags)
 
 
 def _require(value, name):
@@ -241,10 +226,27 @@ def _json_text(payload):
 
 
 def _point_payload(point, decimal):
-    exact = [format_rational(point.x), format_rational(point.y)]
+    exact = [str(point.x), str(point.y)]
     if decimal:
         return {"exact": exact, "approx": [float(point.x), float(point.y)]}
     return exact
+
+
+def _trajectory_payload(trajectory, decimal):
+    return {
+        "first_move_type": trajectory.first_move_type,
+        "status": trajectory.status.value,
+        "points": [_point_payload(p, decimal) for p in trajectory.points],
+    }
+
+
+def _render_path(trajectory, **style):
+    return RenderPath(
+        tuple((p.x, p.y) for p in trajectory.points),
+        first_segment_type=trajectory.first_move_type,
+        closed=trajectory.status is TrajectoryStatus.CYCLIC,
+        **style,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -262,34 +264,18 @@ def _cmd_simulate(args):
         max_points=config.max_steps + 1,
     )
     if args.format == "json":
-        payload = {
-            "first_move_type": trajectory.first_move_type,
-            "status": trajectory.status.value,
-            "points": [
-                _point_payload(p, args.decimal) for p in trajectory.points
-            ],
-        }
+        payload = _trajectory_payload(trajectory, args.decimal)
         _emit(_json_text(payload), args.out)
     elif args.format == "svg":
-        path = RenderPath(
-            tuple((p.x, p.y) for p in trajectory.points),
-            first_segment_type=trajectory.first_move_type,
-            closed=trajectory.status is TrajectoryStatus.CYCLIC,
-        )
-        _emit(render_svg(config.board, RenderSpec(paths=(path,))), args.out)
+        spec = RenderSpec(paths=(_render_path(trajectory),))
+        _emit(render_svg(config.board, spec), args.out)
     else:
-        from .dynamics import format_trajectory
-
         _emit(format_trajectory(trajectory), args.out)
     return 0
 
 
 def _cmd_float_sim(args):
-    config_board = Board.square()
-    if args.board and args.board != "square":
-        config_board = _board_from_value(
-            json.loads(Path(args.board).read_text())
-        )
+    board = _board_arg(args.board) if args.board else Board.square()
     slopes = tuple(parse_rational(s) for s in args.slopes)
     if slopes[0] == slopes[1]:
         raise ParseError("slopes must differ")
@@ -304,14 +290,12 @@ def _cmd_float_sim(args):
             [(s.denominator, s.numerator) for s in slopes]
         )
         seen = set()
-        for trajectory in corner_trajectories(
-            config_board, moves, max_points=256
-        ):
+        for trajectory in corner_trajectories(board, moves, max_points=256):
             for p in trajectory.points:
                 seen.add((p.x, p.y))
         limit_set = sorted(seen)
     path = simulate_float(
-        config_board,
+        board,
         slopes,
         (start.x, start.y),
         first_move_type=args.first_move or 1,
@@ -338,11 +322,7 @@ def _cmd_corner_trajectories(args):
         "trajectories": [
             {
                 "corner": _point_payload(t.points[0], args.decimal),
-                "first_move_type": t.first_move_type,
-                "status": t.status.value,
-                "points": [
-                    _point_payload(p, args.decimal) for p in t.points
-                ],
+                **_trajectory_payload(t, args.decimal),
             }
             for t in trajectories
         ],
@@ -406,7 +386,7 @@ def _detect_family(moves):
     if a.c > 0 and a.d > 0 and b.c > 0 and b.d > 0:
         return "inclined", {
             "slopes": [
-                format_rational(Fraction(m.d, m.c)) for m in (a, b)
+                str(Fraction(m.d, m.c)) for m in (a, b)
             ]
         }
     return None, None
@@ -448,49 +428,35 @@ def _cmd_count(args):
     return 0
 
 
-def _fit_payload(fitted):
-    return [
-        [format_rational(c) for c in constituent]
-        for constituent in fitted.constituents
-    ]
-
-
 def _cmd_period(args):
     config = _resolve_config(args)
     q = _require(config.q, "--q")
     n_max = _require(config.n_max, "--n-max")
     series = count_series(config.moves, q, n_max)
     degree = args.degree if args.degree is not None else 2 * q
-    if args.period is not None:
-        fitted = fit(series, args.period, degree)
-        payload = {
-            "q": q,
-            "n_max": n_max,
-            "degree": degree,
-            "period": args.period,
-            "accepted": fitted is not None,
-        }
-        if fitted is not None:
-            payload["constituents"] = _fit_payload(fitted)
-        _emit(_json_text(payload), args.out)
-        return 0
-    period = minimal_period(series, degree)
+    period = args.period
     if period is None:
-        print(
-            "error: no period decidable from counts up to "
-            f"n = {n_max}; extend --n-max",
-            file=sys.stderr,
-        )
-        return 3
+        period = minimal_period(series, degree)
+        if period is None:
+            print(
+                "error: no period decidable from counts up to "
+                f"n = {n_max}; extend --n-max",
+                file=sys.stderr,
+            )
+            return 3
     fitted = fit(series, period, degree)
     payload = {
         "q": q,
         "n_max": n_max,
         "degree": degree,
         "period": period,
-        "accepted": True,
-        "constituents": _fit_payload(fitted),
+        "accepted": fitted is not None,
     }
+    if fitted is not None:
+        payload["constituents"] = [
+            [str(c) for c in constituent]
+            for constituent in fitted.constituents
+        ]
     _emit(_json_text(payload), args.out)
     return 0
 
@@ -518,24 +484,10 @@ def _cmd_render(args):
     for trajectory in corner_trajectories(
         config.board, config.moves, max_points=q
     ):
-        if len(trajectory.points) < 2:
-            continue
-        paths.append(
-            RenderPath(
-                tuple((p.x, p.y) for p in trajectory.points),
-                first_segment_type=trajectory.first_move_type,
-                closed=trajectory.status is TrajectoryStatus.CYCLIC,
-            )
-        )
+        if len(trajectory.points) >= 2:
+            paths.append(_render_path(trajectory))
     for t in enumerate_rigid_cycles(config.board, config.moves, max(q, 4)):
-        paths.append(
-            RenderPath(
-                tuple((p.x, p.y) for p in t.points),
-                first_segment_type=t.first_move_type,
-                closed=True,
-                highlight=True,
-            )
-        )
+        paths.append(_render_path(t, highlight=True))
     report = denominator(config.board, config.moves, q)
     markers = []
     seen = set()

@@ -23,25 +23,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from math import ceil, gcd, lcm
+from itertools import combinations, product
+from math import ceil, gcd, inf, lcm
 
 from .geometry import (
-    Board,
     InternalInvariantError,
     LocationKind,
-    Move,
     Point2,
     point_denominator,
 )
 from .dynamics import (
-    AugmentedTrajectory,
-    Trajectory,
     TrajectoryStatus,
     augment,
     trace,
 )
 from .arrangement import (
+    _attack_normal,
+    _fixation_normal,
     arrangement_of,
     classify_cycle,
     enumerate_rigid_cycles,
@@ -92,86 +90,101 @@ def _segment_crossing(p1, p2, q1, q2):
     return Point2(p1.x + s * d1x, p1.y + s * d1y)
 
 
+def _interior_crossings(board, pairs):
+    """(key, point) for each segment pair that crosses in the interior.
+
+    `pairs` yields (key, segment, segment) with segments as (start, end,
+    move_type).  Segments of equal move type are parallel and never
+    cross transversally; shared endpoints sit on the boundary and are
+    excluded by the interiority test.
+    """
+    for key, (pa, qa, ta), (pb, qb, tb) in pairs:
+        if ta == tb:
+            continue
+        pt = _segment_crossing(pa, qa, pb, qb)
+        if pt is not None and board.interior_contains(pt):
+            yield key, pt
+
+
 def crossing_points(board, a, b=None):
     """Interior crossings between augmented trajectories a and b.
 
-    With b omitted, the self-crossings of a.  Segments of equal move
-    type are parallel and never cross transversally; shared endpoints
-    sit on the boundary and are excluded by the interiority test.
+    With b omitted, the self-crossings of a.
     """
 
     segs_a = a.segments()
-    segs_b = segs_a if b is None else b.segments()
-    out = []
-    for i, (pa, qa, ta) in enumerate(segs_a):
-        j_start = i + 1 if b is None else 0
-        for j in range(j_start, len(segs_b)):
-            pb, qb, tb = segs_b[j]
-            if ta == tb:
-                continue
-            pt = _segment_crossing(pa, qa, pb, qb)
-            if pt is not None and board.interior_contains(pt):
-                out.append(CrossingPoint(pt, i, j))
-    return out
+    if b is None:
+        segs_b = segs_a
+        indices = combinations(range(len(segs_a)), 2)
+    else:
+        segs_b = b.segments()
+        indices = product(range(len(segs_a)), range(len(segs_b)))
+    pairs = (((i, j), segs_a[i], segs_b[j]) for i, j in indices)
+    return [
+        CrossingPoint(pt, i, j)
+        for (i, j), pt in _interior_crossings(board, pairs)
+    ]
 
 
-def _window_cost(i, j):
-    # smallest count of core points covering segments i and j of a
+def _window_cost(indices):
+    # smallest count of core points covering the given segments of a
     # two-sided window indexed with the corner at position 0
-    return max(i, j, 0) + max(-i - 1, -j - 1, 0) + 1
+    return max(*indices, 0) + max(*(-i - 1 for i in indices), 0) + 1
 
 
 @dataclass(frozen=True)
 class _Flow:
-    """A maximal trajectory (or cycle) carrying indexed segments.
+    """A maximal trajectory (or cycle) with the window costs of its segments.
+
+    A cost is the length of the shortest window of core points whose
+    augmentation covers the given segments while still containing the
+    corner; cycles that are not corner-anchored are all-or-nothing.
+    cost[i] covers segment i alone, pair_cost[i, j] segments i < j of
+    different move types together.
+    """
+
+    segments: tuple  # of (start, end, move_type)
+    cost: tuple
+    pair_cost: dict
+
+
+def _flow(segments, positions, cap):
+    """Cost a flow whose segment k may sit at any index in positions[k].
 
     Corner flows are indexed with their corner at position 0; segment i
     joins positions i and i + 1, so i runs negative on the backward
-    side.  Costs charge the shortest window of core points whose
-    augmentation covers the given segments while still containing the
-    corner; cycles that are not corner-anchored are all-or-nothing.
+    side, and a corner cycle of length l offers both i and i - l.  No
+    cost exceeds `cap`, the price of a whole cycle.
     """
 
-    kind: str  # "corner-path" | "corner-cycle" | "rigid-cycle"
-    segments: tuple  # of (index, start, end, move_type)
-    cycle_length: int = 0
+    def cost(*ks):
+        choices = product(*(positions[k] for k in ks))
+        return min([cap, *(_window_cost(c) for c in choices)])
 
-    def segment_cost(self, index):
-        if self.kind == "corner-path":
-            return index + 1 if index >= 0 else -index
-        if self.kind == "corner-cycle":
-            return min(index + 1, self.cycle_length - index)
-        return self.cycle_length
-
-    def self_cost(self, i, j):
-        if self.kind == "corner-path":
-            return _window_cost(i, j)
-        if self.kind == "corner-cycle":
-            l = self.cycle_length
-            best = l
-            for a in (i, i - l):
-                for b in (j, j - l):
-                    best = min(best, _window_cost(a, b))
-            return best
-        return self.cycle_length
-
-
-def _cycle_flow(kind, trajectory):
-    pts = trajectory.points
-    l = len(pts)
-    segs = tuple(
-        (i, pts[i], pts[(i + 1) % l], trajectory.move_type_at(i))
-        for i in range(l)
+    pairs = {
+        (i, j): cost(i, j)
+        for i, j in combinations(range(len(segments)), 2)
+        if segments[i][2] != segments[j][2]
+    }
+    return _Flow(
+        tuple(segments), tuple(cost(k) for k in range(len(segments))), pairs
     )
-    return _Flow(kind, segs, l)
+
+
+def _cycle_flow(trajectory, anchored):
+    """A cyclic flow; `anchored` when its first point is a board corner."""
+    l = len(trajectory.points)
+    positions = [(i, i - l) if anchored else () for i in range(l)]
+    return _flow(trajectory.segments(), positions, l)
 
 
 def _corner_flows(board, moves, q):
-    flows = []
+    """Per corner: its flow and its trajectory points within q steps."""
+    out = []
     for corner in board.corners:
         fwd = trace(board, moves, corner, 1, max_points=q)
         if fwd.status is TrajectoryStatus.CYCLIC:
-            flows.append((corner, _cycle_flow("corner-cycle", fwd), fwd, None))
+            out.append((_cycle_flow(fwd, anchored=True), fwd.points))
             continue
         bwd = trace(board, moves, corner, 2, max_points=q)
         if bwd.status is TrajectoryStatus.CYCLIC:
@@ -179,14 +192,12 @@ def _corner_flows(board, moves, q):
                 f"backward trace from {corner} closed a cycle the forward "
                 "trace missed"
             )
-        fp, bp = fwd.points, bwd.points
-        segs = []
-        for i in range(len(fp) - 1):
-            segs.append((i, fp[i], fp[i + 1], fwd.move_type_at(i)))
-        for i in range(1, len(bp)):
-            segs.append((-i, bp[i], bp[i - 1], bwd.move_type_at(i - 1)))
-        flows.append((corner, _Flow("corner-path", tuple(segs)), fwd, bwd))
-    return flows
+        # backward segment k joins positions -k and -k - 1
+        positions = [(i,) for i in range(len(fwd) - 1)]
+        positions += [(-k - 1,) for k in range(len(bwd) - 1)]
+        flow = _flow(fwd.segments() + bwd.segments(), positions, inf)
+        out.append((flow, fwd.points + bwd.points))
+    return out
 
 
 def denominator(board, moves, q):
@@ -200,44 +211,35 @@ def denominator(board, moves, q):
 
     flows = []
     if q >= 1:
-        for corner, flow, fwd, bwd in _corner_flows(board, moves, q):
+        for flow, points in _corner_flows(board, moves, q):
             flows.append(flow)
-            if flow.kind == "corner-cycle":
-                pts = fwd.points
-                l = len(pts)
-                for i in range(min(l, q)):
-                    add("corner-trajectory-point", pts[i])
-                for i in range(max(1, l - q + 1), l):
-                    add("corner-trajectory-point", pts[i])
-            else:
-                for p in fwd.points[:q]:
-                    add("corner-trajectory-point", p)
-                for p in bwd.points[:q]:
-                    add("corner-trajectory-point", p)
+            for p in points:
+                add("corner-trajectory-point", p)
         for traj in enumerate_rigid_cycles(board, moves, q):
-            flows.append(_cycle_flow("rigid-cycle", traj))
+            flows.append(_cycle_flow(traj, anchored=False))
             for p in traj.points:
                 add("rigid-cycle-point", p)
 
     budget = q - 1
     for flow in flows:
-        for (i, pa, qa, ta), (j, pb, qb, tb) in combinations(flow.segments, 2):
-            if ta == tb or flow.self_cost(i, j) > budget:
-                continue
-            pt = _segment_crossing(pa, qa, pb, qb)
-            if pt is not None and board.interior_contains(pt):
-                add("self-cross", pt)
+        segs = flow.segments
+        pairs = (
+            (None, segs[i], segs[j])
+            for (i, j), cost in flow.pair_cost.items()
+            if cost <= budget
+        )
+        for _, pt in _interior_crossings(board, pairs):
+            add("self-cross", pt)
     for fa, fb in combinations(flows, 2):
-        for i, pa, qa, ta in fa.segments:
-            cost_a = fa.segment_cost(i)
-            if cost_a >= budget:
-                continue
-            for j, pb, qb, tb in fb.segments:
-                if tb == ta or cost_a + fb.segment_cost(j) > budget:
-                    continue
-                pt = _segment_crossing(pa, qa, pb, qb)
-                if pt is not None and board.interior_contains(pt):
-                    add("cross", pt)
+        pairs = (
+            (None, sa, sb)
+            for sa, cost_a in zip(fa.segments, fa.cost)
+            if cost_a < budget
+            for sb, cost_b in zip(fb.segments, fb.cost)
+            if sb[2] != sa[2] and cost_a + cost_b <= budget
+        )
+        for _, pt in _interior_crossings(board, pairs):
+            add("cross", pt)
 
     value = 1
     for den in contributions.values():
@@ -311,7 +313,12 @@ def inclined_crossing_point(moves, index):
 
 
 def closed_form_orthogonal(m, q):
-    """Denominator for moves (m, 1) and (1, -m), m >= 2, on the square."""
+    """Denominator for moves (m, 1) and (1, -m), m >= 2, on the square.
+
+    Undercounts for odd m at q >= 6: there the rigid 4-cycle crosses the
+    corner windows at points such as (9/40, 3/40) for m = 3, and
+    `denominator` reports twice this value.
+    """
     if m < 2:
         raise ValueError("orthogonal family needs m >= 2")
     if q < 0:
@@ -380,22 +387,16 @@ def vertex_oracle(board, moves, q):
     if q <= 0:
         return 1
     dim = 2 * q
-    rows = []
-    for i in range(q):
-        for edge in board.edges:
-            normal = [Fraction(0)] * dim
-            normal[2 * i] = Fraction(edge.normal[0])
-            normal[2 * i + 1] = Fraction(edge.normal[1])
-            rows.append((tuple(normal), Fraction(edge.offset)))
-    for i in range(q):
-        for j in range(i + 1, q):
-            for move in moves:
-                normal = [Fraction(0)] * dim
-                normal[2 * i] = Fraction(move.d)
-                normal[2 * i + 1] = Fraction(-move.c)
-                normal[2 * j] = Fraction(-move.d)
-                normal[2 * j + 1] = Fraction(move.c)
-                rows.append((tuple(normal), Fraction(0)))
+    rows = [
+        (_fixation_normal(dim, i, edge), Fraction(edge.offset))
+        for i in range(q)
+        for edge in board.edges
+    ]
+    rows += [
+        (_attack_normal(dim, i, j, move), Fraction(0))
+        for i, j in combinations(range(q), 2)
+        for move in moves
+    ]
     value = 1
     for subset in combinations(rows, dim):
         solution = solve_square_system(

@@ -15,10 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .geometry import (
-    Board,
     InternalInvariantError,
     LocationKind,
-    Move,
     Point2,
     parse_point,
     format_point,
@@ -31,13 +29,6 @@ class NotOnBoundary(ValueError):
 
 def other(move_type):
     return 3 - move_type
-
-
-@dataclass(frozen=True)
-class ParticleState:
-    position: Point2
-    move_type: int
-    orientation: int = 1
 
 
 class TrajectoryStatus(enum.Enum):
@@ -124,30 +115,19 @@ def antipode(board, move, point):
     return Point2(point.x + t * move.c, point.y + t * move.d)
 
 
-def attack_map(board, moves, state):
-    """One step of the dynamics; None when the particle stops."""
-    move = moves[state.move_type - 1]
-    landing = antipode(board, move, state.position)
-    if landing == state.position:
-        return None
-    delta = landing.x - state.position.x
-    if move.c != 0:
-        t = delta / move.c
-    else:
-        t = (landing.y - state.position.y) / move.d
-    return ParticleState(landing, other(state.move_type), 1 if t > 0 else -1)
-
-
 def trace(board, moves, start, first_move_type, max_points=10_000):
     """Follow the dynamics from a boundary point into a Trajectory.
 
     Stops on a genuine halt, on cycle closure, or after `max_points`
-    positions.  A revisited position that is not the cycle closure is
-    impossible for these dynamics and raises InternalInvariantError.
+    positions (at least one).  A revisited position that is not the
+    cycle closure is impossible for these dynamics and raises
+    InternalInvariantError.
     """
 
     if first_move_type not in (1, 2):
         raise ValueError(f"move type must be 1 or 2, got {first_move_type}")
+    if max_points < 1:
+        raise ValueError(f"max_points must be at least 1, got {max_points}")
     start = start if isinstance(start, Point2) else Point2(*start)
     points = [start]
     seen = {start}

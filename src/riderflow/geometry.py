@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-Rational = Fraction
-
 
 class ZeroDenominator(ZeroDivisionError):
     pass
@@ -31,24 +29,12 @@ class InternalInvariantError(AssertionError):
     """A condition the library proves impossible happened anyway."""
 
 
-def reduce(numerator, denominator):
-    """Reduced rational numerator/denominator; canonical sign."""
-    if denominator == 0:
-        raise ZeroDenominator(f"{numerator}/0")
-    return Fraction(numerator, denominator)
-
-
 def parse_rational(text):
     """Parse 'p/q' or 'p' into a Fraction."""
     try:
         return Fraction(text.strip())
     except ZeroDivisionError:
         raise ZeroDenominator(text) from None
-
-
-def format_rational(value):
-    value = Fraction(value)
-    return str(value)
 
 
 @dataclass(frozen=True, order=True)
@@ -157,25 +143,12 @@ class Edge:
         nx, ny = self.normal
         return nx * point.x + ny * point.y - self.offset
 
-    def param_of(self, point):
-        """Parameter t in [0, 1] with p = tail + t * (head - tail)."""
-        dx = self.head.x - self.tail.x
-        dy = self.head.y - self.tail.y
-        if dx != 0:
-            return (point.x - self.tail.x) / dx
-        return (point.y - self.tail.y) / dy
-
     def at_param(self, t):
         t = Fraction(t)
         return Point2(
             self.tail.x + t * (self.head.x - self.tail.x),
             self.tail.y + t * (self.head.y - self.tail.y),
         )
-
-    def contains(self, point):
-        if self.side_of(point) != 0:
-            return False
-        return 0 <= self.param_of(point) <= 1
 
 
 class LocationKind(enum.Enum):

@@ -4,12 +4,16 @@ Each test prints a single PASS/FAIL line (visible with -s or in the
 captured output) plus timing, and asserts exact values throughout.
 """
 
+import os
 import subprocess
 import sys
 import time
 from contextlib import contextmanager
 from fractions import Fraction
 from math import comb
+from pathlib import Path
+
+import riderflow
 
 from riderflow import (
     Board,
@@ -257,6 +261,10 @@ def test_criterion_7_dynamics_properties():
 
 
 def test_criterion_8_byte_determinism():
+    # the child interpreters import the same riderflow as this one
+    src = str(Path(riderflow.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
     with criterion(8, "byte-identical repeated and parallel runs"):
         commands = [
             ["denominator", "--moves", "2,1", "1,-2", "--q", "4"],
@@ -266,14 +274,19 @@ def test_criterion_8_byte_determinism():
         ]
         for args in commands:
             cmd = [sys.executable, "-m", "riderflow", *args]
-            first = subprocess.run(cmd, capture_output=True, check=True)
-            second = subprocess.run(cmd, capture_output=True, check=True)
+            first = subprocess.run(
+                cmd, capture_output=True, check=True, env=env
+            )
+            second = subprocess.run(
+                cmd, capture_output=True, check=True, env=env
+            )
             assert first.stdout == second.stdout and first.stdout, args
 
         cmd = [sys.executable, "-m", "riderflow", "render",
                "--moves", "2,1", "1,-2", "--q", "4"]
         procs = [
-            subprocess.Popen(cmd, stdout=subprocess.PIPE) for _ in range(3)
+            subprocess.Popen(cmd, stdout=subprocess.PIPE, env=env)
+            for _ in range(3)
         ]
         outputs = [p.communicate()[0] for p in procs]
         assert all(p.returncode == 0 for p in procs)

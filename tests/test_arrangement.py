@@ -12,7 +12,6 @@ from riderflow import (
     canonical_move,
     classify_cycle,
     enumerate_rigid_cycles,
-    independent_subsystem,
     matrix_rank,
     partition_into_trajectories,
     solve_square_system,
@@ -78,21 +77,6 @@ def test_duplicating_a_piece_adds_rank_two(data):
     base = arrangement_of(board, moves, pieces).rank()
     doubled = arrangement_of(board, moves, pieces + [pieces[0]]).rank()
     assert doubled == base + 2
-
-
-@given(st.data())
-@settings(max_examples=60, deadline=None)
-def test_independent_subsystem_preserves_rank(data):
-    board = Board.square()
-    moves = data.draw(move_pairs())
-    pieces = [
-        data.draw(boundary_points(board))
-        for _ in range(data.draw(st.integers(1, 3)))
-    ]
-    system = arrangement_of(board, moves, pieces)
-    sub = independent_subsystem(system)
-    assert len(sub.hyperplanes) == system.rank()
-    assert sub.rank() == system.rank()
 
 
 def test_classify_cycle_rigid(square):

@@ -3,16 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from riderflow import (
-    Board,
+from riderflow import Board, Point2, parse_trajectory
+from riderflow.cli import (
     ParallelMoves,
     ParseError,
-    Point2,
+    main,
     parse_config,
-    parse_trajectory,
     serialize_config,
 )
-from riderflow.cli import main
 
 F = Fraction
 
@@ -279,3 +277,32 @@ def test_repeated_runs_identical(capsys):
     _, first, _ = run_cli(capsys, *args)
     _, second, _ = run_cli(capsys, *args)
     assert first == second
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--moves", "2,1", "1,2", "--start", "1/3,0",
+         "--max-steps", "-1"],
+        ["corner-trajectories", "--moves", "2,1", "1,2",
+         "--max-steps", "-1"],
+        ["render", "--moves", "2,1", "1,2", "--q", "0"],
+    ],
+)
+def test_nonpositive_trace_cap_is_rejected(capsys, argv):
+    # a cap below one point would never stop these aperiodic orbits
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_zero_max_steps_keeps_the_start(capsys):
+    code, out, _ = run_cli(
+        capsys, "simulate", "--moves", "2,1", "1,2", "--start", "1/3,0",
+        "--max-steps", "0",
+    )
+    assert code == 0
+    traj = parse_trajectory(out)
+    assert traj.points == (Point2(F(1, 3), 0),)
+    assert traj.status.value == "truncated"

@@ -8,6 +8,7 @@ from riderflow import (
     Board,
     Point2,
     SlopeConditionViolated,
+    arrangement_of,
     attractor_orbit,
     augment,
     canonical_move,
@@ -236,6 +237,29 @@ def test_characterize_vertex_with_rigid_cycle(square):
     assert result.vertex
     assert len(result.cycle_components) == 1
     assert result.corner_components == ()
+
+
+def test_orthogonal_odd_m_vertex_with_denominator_40(square):
+    # a q = 6 vertex for moves (3, 1), (1, -3): the rigid 4-cycle, the
+    # corner (0, 0) and an interior crossing of their augmented segments
+    # with denominator 40, which closed_form_orthogonal(3, 6) misses
+    moves = (canonical_move(3, 1), canonical_move(1, -3))
+    crossing = Point2(F(9, 40), F(3, 40))
+    pieces = (
+        Point2(F(1, 4), 0),
+        Point2(0, F(3, 4)),
+        Point2(F(3, 4), 1),
+        Point2(1, F(1, 4)),
+        Point2(0, 0),
+        crossing,
+    )
+    assert arrangement_of(square, moves, pieces).rank() == 12
+    result = characterize_vertex(square, moves, pieces)
+    assert result.vertex
+    assert len(result.corner_components) == 1
+    assert len(result.cycle_components) == 1
+    assert [c[0] for c in result.interior_certificates] == [crossing]
+    assert denominator(square, moves, 6).value % 40 == 0
 
 
 @given(st.integers(1, 4), st.integers(1, 6))

@@ -7,11 +7,9 @@ from riderflow import (
     Board,
     InternalInvariantError,
     NotOnBoundary,
-    ParticleState,
     Point2,
     TrajectoryStatus,
     antipode,
-    attack_map,
     augment,
     canonical_move,
     corner_trajectories,
@@ -74,16 +72,6 @@ def test_antipode_involution_pentagon(data):
     for move in (a, b):
         q = antipode(board, move, p)
         assert antipode(board, move, q) == p
-
-
-def test_attack_map_step_and_orientation(square):
-    state = ParticleState(Point2(0, 0), 1)
-    nxt = attack_map(square, INCLINED, state)
-    assert nxt.position == Point2(1, F(1, 2))
-    assert nxt.move_type == 2
-    assert nxt.orientation == 1
-    stopped = attack_map(square, INCLINED, ParticleState(Point2(1, 0), 1))
-    assert stopped is None
 
 
 def test_trace_five_point_window(square):

@@ -14,7 +14,6 @@ from riderflow import (
     canonical_move,
     cross,
     format_point,
-    format_rational,
     parse_point,
     parse_rational,
     point_denominator,
@@ -30,7 +29,7 @@ rationals = st.builds(
 
 @given(rationals)
 def test_rational_text_round_trip(value):
-    assert parse_rational(format_rational(value)) == value
+    assert parse_rational(str(value)) == value
 
 
 def test_parse_rational_forms():
@@ -121,18 +120,6 @@ def test_inward_normals(square):
     mid = Point2(Fraction(1, 2), Fraction(1, 2))
     for edge in square.edges:
         assert edge.side_of(mid) > 0
-
-
-@given(st.data())
-def test_edge_param_round_trip(data):
-    board = Board.square()
-    edge = board.edges[data.draw(st.integers(0, 3))]
-    t = data.draw(
-        st.integers(0, 10).map(lambda k: Fraction(k, 10))
-    )
-    p = edge.at_param(t)
-    assert edge.contains(p)
-    assert edge.param_of(p) == t
 
 
 @given(st.data())
