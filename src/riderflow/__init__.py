@@ -65,10 +65,8 @@ from .counting import (
     CountSeries,
     InsufficientData,
     QuasipolynomialFit,
-    attack_masks,
     conjecture_report,
     count,
-    count_pairs_formula,
     count_series,
     evaluate_fit,
     fit,

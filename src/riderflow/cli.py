@@ -98,7 +98,8 @@ def _board_from_value(value):
     return Board.from_corners(corners)
 
 
-def parse_config(text):
+def parse_config(text, max_steps=10_000):
+    """Problem config from JSON text; max_steps is the cap if it has none."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -135,7 +136,7 @@ def parse_config(text):
         n_max=None if n_max is None else int(n_max),
         start=start,
         first_move=first_move,
-        max_steps=int(data.get("max_steps", 10_000)),
+        max_steps=int(data.get("max_steps", max_steps)),
     )
 
 
@@ -185,12 +186,17 @@ def _board_arg(text):
     return _board_from_value(json.loads(Path(text).read_text()))
 
 
-def _resolve_config(args):
-    """Merge config file and command line; explicit flags win."""
+def _resolve_config(args, max_steps=10_000):
+    """Merge config file and command line; explicit flags win.
+
+    max_steps is the command's cap when neither gives one.
+    """
     if args.config:
-        config = parse_config(Path(args.config).read_text())
+        config = parse_config(Path(args.config).read_text(), max_steps)
     else:
-        config = ProblemConfig(board=Board.square(), moves=None)
+        config = ProblemConfig(
+            board=Board.square(), moves=None, max_steps=max_steps
+        )
     flags = {}
     if args.board:
         flags["board"] = _board_arg(args.board)
@@ -312,10 +318,9 @@ def _cmd_float_sim(args):
 
 
 def _cmd_corner_trajectories(args):
-    config = _resolve_config(args)
-    cap = args.max_steps if args.max_steps is not None else 128
+    config = _resolve_config(args, max_steps=128)
     trajectories = corner_trajectories(
-        config.board, config.moves, max_points=cap + 1
+        config.board, config.moves, max_points=config.max_steps + 1
     )
     payload = {
         "board_corners": len(config.board.corners),

@@ -1,19 +1,37 @@
 """Counting nonattacking rider placements on n-by-n boards.
 
-Cells are the integer points (x, y), 1 <= x, y <= n, indexed x-major.
-Two cells attack each other when their difference is parallel to one of
-the two moves; with primitive move vectors that is a single cross
-product test.  Placement counts are computed by bitset backtracking
-over the attack graph, and the resulting integer sequences are fitted
-exactly — over Fraction, with every surplus sample validated — to
-candidate quasipolynomials of the expected degree 2q.
+Cells are the integer points (x, y), 1 <= x, y <= n.  Two cells attack
+each other when they share a move-1 line or a move-2 line.  So the
+board is a bipartite graph H: its left vertices are the move-1 lines,
+its right vertices the move-2 lines, and its edges the cells.
+
+Placements are counted by Möbius inversion over the attack arrangement,
+the inside-out polytope method of Beck and Zaslavsky ("Inside-out
+polytopes", Adv. Math. 2006) as used by Chaiken, Hanusa and Zaslavsky
+("A q-Queens Problem. I"):
+
+    ordered placements = sum over set partitions p1, p2 of the pieces
+                         of mu(p1) * mu(p2) * hom(G(p1, p2), H)
+
+with mu(p) the product over blocks B of (-1)^(|B|-1) (|B|-1)!.  The
+flat G(p1, p2) has the blocks of p1 as left vertices, the blocks of p2
+as right vertices and one edge per piece; pieces that share both lines
+share a cell, so parallel edges merge and distinct cells come for free.
+Dividing by q! gives unordered placements.  The weighted flat shapes
+depend on q alone and are built once per q; their hom counts are taken
+per board by passing messages over the cells.  The resulting integer
+sequences are fitted exactly — over Fraction, with every surplus sample
+validated — to candidate quasipolynomials of the expected degree 2q.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
+from functools import cache
+from itertools import permutations
+from math import factorial, prod
 
 from .geometry import Board, InternalInvariantError
 from .denominator import denominator
@@ -38,78 +56,275 @@ class CountSeries:
     values: tuple  # values[n] = placements on the n x n board
 
 
-def _line_groups(move, n):
-    """Cells grouped by the move line through them, as index lists."""
-    groups = {}
-    for x in range(1, n + 1):
-        for y in range(1, n + 1):
-            key = x * move.d - y * move.c
-            groups.setdefault(key, []).append((x - 1) * n + (y - 1))
-    return groups
+# ---------------------------------------------------------------------------
+# Weighted flats: the part of the count that depends on q alone.
 
 
-def attack_masks(moves, n):
-    """Per-cell bitmask of attacked cells (self excluded)."""
-    masks = [0] * (n * n)
-    for move in moves:
-        for cells in _line_groups(move, n).values():
-            if len(cells) < 2:
+def _integer_partitions(q, largest=None):
+    """Block-size profiles of q pieces, largest block first."""
+    if q == 0:
+        yield ()
+        return
+    for part in range(min(q, largest or q), 0, -1):
+        for rest in _integer_partitions(q - part, part):
+            yield (part,) + rest
+
+
+def _set_partitions(q):
+    """Every set partition of q pieces, as block labels in first-use order."""
+    labels = [0] * q
+
+    def grow(piece, blocks):
+        if piece == q:
+            yield tuple(labels)
+            return
+        for block in range(blocks + 1):
+            labels[piece] = block
+            yield from grow(piece + 1, max(blocks, block + 1))
+
+    return grow(0, 0)
+
+
+def _mobius(sizes):
+    return prod((-1) ** (s - 1) * factorial(s - 1) for s in sizes)
+
+
+def _canonical(edges):
+    """Isomorphism class of a connected flat, its two sides kept apart.
+
+    The smaller side (move 1 on a tie) is relabelled every way and each
+    vertex of the other side is written as the bitmask of its
+    neighbours; the least sorted tuple of masks names the class.
+    """
+    sides = ({a for a, _ in edges}, {b for _, b in edges})
+    small = 0 if len(sides[0]) <= len(sides[1]) else 1
+    neighbours = {}
+    for edge in edges:
+        neighbours.setdefault(edge[1 - small], []).append(edge[small])
+    best = None
+    for order in permutations(range(len(sides[small]))):
+        rank = dict(zip(sorted(sides[small]), order))
+        masks = tuple(sorted(
+            sum(1 << rank[v] for v in vs) for vs in neighbours.values()
+        ))
+        if best is None or masks < best:
+            best = masks
+    return small, best
+
+
+def _shape(edges, classes):
+    """The flat's connected components, as a sorted tuple of classes.
+
+    classes memoizes _canonical by component edge set.
+    """
+    parent = {}  # union-find over left blocks a and right blocks ~b
+
+    def root(v):
+        while v in parent:
+            v = parent[v]
+        return v
+
+    for a, b in edges:
+        ra, rb = root(a), root(~b)
+        if ra != rb:
+            parent[ra] = rb
+    components = {}
+    for edge in edges:
+        components.setdefault(root(edge[0]), []).append(edge)
+    forms = []
+    for component in components.values():
+        key = frozenset(component)
+        if key not in classes:
+            classes[key] = _canonical(key)
+        forms.append(classes[key])
+    return tuple(sorted(forms))
+
+
+@cache
+def _flat_table(q):
+    """(shape, weight) for every flat of q pieces with nonzero weight.
+
+    One move-1 partition per block-size profile stands for all set
+    partitions with that profile, so the weight carries their number;
+    it is paired with every move-2 partition.
+    """
+    seconds = [
+        (labels, _mobius(Counter(labels).values()))
+        for labels in _set_partitions(q)
+    ]
+    table = {}
+    classes = {}
+    for sizes in _integer_partitions(q):
+        first = [b for b, size in enumerate(sizes) for _ in range(size)]
+        relabellings = factorial(q)
+        for size, times in Counter(sizes).items():
+            relabellings //= factorial(size) ** times * factorial(times)
+        weight = relabellings * _mobius(sizes)
+        for second, mu in seconds:
+            shape = _shape(set(zip(first, second)), classes)
+            table[shape] = table.get(shape, 0) + weight * mu
+    return tuple((shape, w) for shape, w in table.items() if w)
+
+
+def _edges(form):
+    small, masks = form
+    for j, mask in enumerate(masks):
+        for i in range(mask.bit_length()):
+            if mask >> i & 1:
+                yield (i, j) if small == 0 else (j, i)
+
+
+# ---------------------------------------------------------------------------
+# Homomorphism counts into the board's line-incidence graph.
+
+
+class _LineGraph:
+    """The n-by-n board with move lines as vertices and cells as edges.
+
+    keys[s][k] is the index of the move-(s+1) line through cell k, and
+    degrees[s][i] counts the cells on that side's line i; an index whose
+    line misses the board has degree 0.
+    """
+
+    def __init__(self, moves, n):
+        if len(moves) != 2 or moves[0].c * moves[1].d == moves[0].d * moves[1].c:
+            raise ValueError("counting needs two nonparallel moves")
+        self.keys = []
+        self.degrees = []
+        for move in moves:
+            raw = [
+                x * move.d - y * move.c
+                for x in range(1, n + 1)
+                for y in range(1, n + 1)
+            ]
+            low = min(raw, default=0)
+            keys = [k - low for k in raw]
+            degrees = [0] * (max(keys, default=-1) + 1)
+            for k in keys:
+                degrees[k] += 1
+            self.keys.append(keys)
+            self.degrees.append(degrees)
+
+    def lines(self, side):
+        """Number of lines on one side that hold a cell."""
+        return sum(1 for d in self.degrees[side] if d)
+
+    def push(self, weights, side):
+        """Sum line weights along the cells onto the other side's lines.
+
+        None weighs every line 1; the returned list is never mutated.
+        """
+        if weights is None:
+            return self.degrees[1 - side]
+        out = [0] * len(self.degrees[1 - side])
+        for i, j in zip(self.keys[side], self.keys[1 - side]):
+            out[j] += weights[i]
+        return out
+
+    def crossings(self, side):
+        """For each line of one side, the set of other-side lines it meets."""
+        sets = [set() for _ in self.degrees[side]]
+        for i, j in zip(self.keys[side], self.keys[1 - side]):
+            sets[i].add(j)
+        return sets
+
+
+def _hom(form, graph):
+    """Homomorphisms of one connected flat into the line graph.
+
+    Leaves are peeled first, each folding its weights into its
+    neighbour's; a tree ends as one weighted vertex.  What remains of a
+    graph with a cycle is its 2-core, summed by _core_hom.
+    """
+    adjacent = {}
+    for a, b in _edges(form):
+        adjacent.setdefault((0, a), set()).add((1, b))
+        adjacent.setdefault((1, b), set()).add((0, a))
+    weight = dict.fromkeys(adjacent)  # None: every line weighs 1
+    leaves = [v for v, vs in adjacent.items() if len(vs) == 1]
+    while leaves and len(adjacent) > 1:
+        u = leaves.pop()
+        if len(adjacent.get(u, ())) != 1:
+            continue
+        (v,) = adjacent.pop(u)
+        adjacent[v].discard(u)
+        message = graph.push(weight.pop(u), u[0])
+        weight[v] = (
+            message if weight[v] is None
+            else [x * y for x, y in zip(weight[v], message)]
+        )
+        if len(adjacent[v]) == 1:
+            leaves.append(v)
+    if len(adjacent) == 1:
+        (last,) = weight.values()
+        return sum(last)
+    return _core_hom(adjacent, weight, graph)
+
+
+def _core_hom(adjacent, weight, graph):
+    """Sum over the line choices of the smaller side of a 2-core.
+
+    Each vertex of the other side meets at least two chosen lines; it
+    contributes the weighted count of its lines that cross all of them.
+    """
+    side = 0 if 2 * sum(v[0] == 0 for v in adjacent) <= len(adjacent) else 1
+    chosen = [v for v in adjacent if v[0] == side]
+    crossings = graph.crossings(side)
+
+    def choose(k, reach):
+        if k == len(chosen):
+            return prod(sum(r.values()) for r in reach.values())
+        u = chosen[k]
+        total = 0
+        for line, across in enumerate(crossings):
+            factor = 1 if weight[u] is None else weight[u][line]
+            if not factor or not across:
                 continue
-            group = 0
-            for i in cells:
-                group |= 1 << i
-            for i in cells:
-                masks[i] |= group & ~(1 << i)
-    return masks
+            narrowed = dict(reach)
+            for t in adjacent[u]:
+                if t in reach:
+                    kept = {m: x for m, x in reach[t].items() if m in across}
+                elif weight[t] is None:
+                    kept = dict.fromkeys(across, 1)
+                else:
+                    kept = {m: weight[t][m] for m in across if weight[t][m]}
+                if not kept:
+                    break
+                narrowed[t] = kept
+            else:
+                total += factor * choose(k + 1, narrowed)
+        return total
+
+    return choose(0, {})
 
 
 def count(moves, q, n):
     """Number of ways to place q mutually nonattacking riders."""
     if q < 0:
         raise ValueError(f"q must be nonnegative, got {q}")
-    if q == 0:
-        return 1
-    if n <= 0:
-        return 0
-    masks = attack_masks(moves, n)
-
-    def rec(avail, k):
-        total = 0
-        m = avail
-        while m:
-            low = m & -m
-            m ^= low
-            rest = m & ~masks[low.bit_length() - 1]
-            if k == 2:
-                total += rest.bit_count()
-            elif rest:
-                total += rec(rest, k - 1)
-        return total
-
-    full = (1 << (n * n)) - 1
-    if q == 1:
-        return n * n
-    return rec(full, q)
+    graph = _LineGraph(moves, n)
+    if q > min(graph.lines(0), graph.lines(1)):
+        return 0  # two of the pieces would share a line
+    homs = {}
+    total = 0
+    for shape, weight in _flat_table(q):
+        for form in shape:
+            if form not in homs:
+                homs[form] = _hom(form, graph)
+            weight *= homs[form]
+        total += weight
+    placements, rest = divmod(total, factorial(q))
+    if rest:
+        raise InternalInvariantError(
+            f"ordered count {total} is not divisible by {q}!"
+        )
+    return placements
 
 
 def count_series(moves, q, n_max):
     return CountSeries(
         tuple(moves), q, tuple(count(moves, q, n) for n in range(n_max + 1))
     )
-
-
-def count_pairs_formula(moves, n):
-    """Independent q = 2 check: all pairs minus collinear pairs.
-
-    A pair attacking along both moves would have difference parallel to
-    two independent vectors, so no pair is subtracted twice.
-    """
-
-    total = comb(n * n, 2)
-    for move in moves:
-        for cells in _line_groups(move, n).values():
-            total -= comb(len(cells), 2)
-    return total
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,8 @@ def simulate_float(
     current point (a closed end) or lands within tol of a corner.
     """
 
+    if steps < 0:
+        raise ValueError(f"steps must be nonnegative, got {steps}")
     dirs = (1.0, float(slopes[0])), (1.0, float(slopes[1]))
     edges = [
         (float(e.normal[0]), float(e.normal[1]), float(e.offset))

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -221,6 +225,56 @@ def test_corner_trajectories_json(capsys):
     assert len(data["trajectories"]) == 8
     statuses = {t["status"] for t in data["trajectories"]}
     assert "stopped-both-ends" in statuses
+
+
+def test_corner_trajectories_take_max_steps_from_config(capsys, tmp_path):
+    cfg_file = tmp_path / "problem.json"
+    cfg_file.write_text('{"moves": [[2, 1], [1, 2]], "max_steps": 2}')
+    code, from_file, _ = run_cli(
+        capsys, "corner-trajectories", "--config", str(cfg_file)
+    )
+    assert code == 0
+    lengths = [len(t["points"]) for t in json.loads(from_file)["trajectories"]]
+    assert lengths and max(lengths) == 3
+    code, from_flag, _ = run_cli(
+        capsys, "corner-trajectories", "--moves", "2,1", "1,2",
+        "--max-steps", "2",
+    )
+    assert code == 0 and from_flag == from_file
+    # the flag wins over the file; without either the cap is 128
+    code, out, _ = run_cli(
+        capsys, "corner-trajectories", "--config", str(cfg_file),
+        "--max-steps", "4",
+    )
+    assert max(len(t["points"]) for t in json.loads(out)["trajectories"]) == 5
+    code, out, _ = run_cli(
+        capsys, "corner-trajectories", "--moves", "2,1", "1,2"
+    )
+    assert max(len(t["points"]) for t in json.loads(out)["trajectories"]) == 129
+
+
+def test_float_sim_rejects_negative_steps(capsys):
+    code, out, err = run_cli(
+        capsys, "float-sim", "--slopes", "1/5", "-3",
+        "--start", "3/5,0", "--steps", "-5",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_count_with_more_pieces_than_lines_is_immediate():
+    # 50 bishops never fit on boards up to 3x3; no q=50 flat is built
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "riderflow", "count", "--moves", "1,1",
+         "1,-1", "--q", "50", "--n-max", "3"],
+        capture_output=True, text=True, timeout=20,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "n,count\n0,0\n1,0\n2,0\n3,0\n"
 
 
 def test_float_sim_csv(capsys):

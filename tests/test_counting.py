@@ -1,17 +1,18 @@
-from fractions import Fraction
+import os
+import subprocess
+import sys
 from itertools import combinations
-from math import comb
+from math import comb, factorial
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from riderflow import (
     InsufficientData,
-    attack_masks,
     canonical_move,
     conjecture_report,
     count,
-    count_pairs_formula,
     count_series,
     evaluate_fit,
     fit,
@@ -19,10 +20,20 @@ from riderflow import (
 )
 
 from conftest import move_pairs
+from oracles import attack_masks, backtrack_count, count_pairs_formula
 
 BISHOP = (canonical_move(1, 1), canonical_move(1, -1))
 LATERAL = (canonical_move(2, 1), canonical_move(2, -1))
 ORTH = (canonical_move(2, 1), canonical_move(1, -2))
+INC = (canonical_move(2, 1), canonical_move(1, 2))
+VERTICAL = (canonical_move(0, 1), canonical_move(3, 1))
+NAMED_PAIRS = {
+    "BISHOP": BISHOP,
+    "LAT": LATERAL,
+    "ORTH": ORTH,
+    "INC": INC,
+    "VERTICAL": VERTICAL,
+}
 
 
 def brute_count(moves, q, n):
@@ -54,6 +65,62 @@ def test_count_edge_cases():
     assert count(BISHOP, 1, 4) == 16
     with pytest.raises(ValueError):
         count(BISHOP, -1, 3)
+
+
+@pytest.mark.parametrize("name", sorted(NAMED_PAIRS))
+@pytest.mark.parametrize("q, n_max", [(1, 12), (2, 12), (3, 12), (4, 8)])
+def test_count_matches_backtracker(name, q, n_max):
+    moves = NAMED_PAIRS[name]
+    for n in range(0, n_max + 1):
+        assert count(moves, q, n) == backtrack_count(moves, q, n), n
+
+
+@given(move_pairs(), st.integers(0, 4), st.integers(0, 5))
+@settings(max_examples=80, deadline=None)
+def test_count_matches_backtracker_on_random_pairs(moves, q, n):
+    assert count(moves, q, n) == backtrack_count(moves, q, n)
+
+
+@pytest.mark.parametrize("name", sorted(NAMED_PAIRS))
+def test_pair_counts_match_the_closed_count(name):
+    moves = NAMED_PAIRS[name]
+    for n in range(0, 25):
+        assert count(moves, 2, n) == count_pairs_formula(moves, n)
+
+
+def test_rook_counts_match_the_closed_form():
+    # q rooks: choose q rows and q columns, then match them up; the flats
+    # at q >= 4 have cycles, so this checks the 2-core sum as well
+    rook = (canonical_move(1, 0), canonical_move(0, 1))
+    for q in range(0, 7):
+        for n in range(0, 10):
+            assert count(rook, q, n) == comb(n, q) ** 2 * factorial(q)
+
+
+def test_count_needs_two_nonparallel_moves():
+    with pytest.raises(ValueError):
+        count((BISHOP[0], BISHOP[0]), 2, 3)
+    with pytest.raises(ValueError):
+        count(BISHOP[:1], 2, 3)
+
+
+def test_more_pieces_than_lines_count_zero_at_once():
+    # BISHOP on the 3x3 board has 5 diagonals a side; 50 pieces cannot
+    # all sit on different ones, and the q=50 flats must not be built
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    code = (
+        "from riderflow import canonical_move as m, count\n"
+        "print(count((m(1, 1), m(1, -1)), 50, 3))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        timeout=20, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "0\n"
+    assert count(BISHOP, 5, 3) == backtrack_count(BISHOP, 5, 3) == 0
+    assert count(BISHOP, 4, 3) == backtrack_count(BISHOP, 4, 3)
 
 
 def test_attack_masks_symmetric():
@@ -145,6 +212,23 @@ def test_conjecture_report_bishop_pairs():
     report = conjecture_report(BISHOP, 2, 14)
     assert report.period == 1
     assert report.denominator == 1
+    assert report.divides and report.equal
+
+
+def test_inclined_q3_period_equals_denominator():
+    # period 12 needs n >= 12 * 8; n = 120 leaves three surplus samples
+    # in every residue class
+    report = conjecture_report(INC, 3, 120)
+    assert (report.period, report.denominator) == (12, 12)
+    assert report.divides and report.equal
+
+
+@pytest.mark.slow
+def test_orthogonal_q3_period_equals_denominator():
+    # period 20 needs n >= 20 * 8; n = 200 leaves three surplus samples
+    # in every residue class
+    report = conjecture_report(ORTH, 3, 200)
+    assert (report.period, report.denominator) == (20, 20)
     assert report.divides and report.equal
 
 
