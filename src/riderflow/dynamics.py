@@ -6,18 +6,25 @@ intersection (its antipode) and toggles the pending type.  If the line
 through the current position meets the board only there — it lies along
 an edge or just touches a corner — the antipode is the point itself and
 the particle stops.
+
+Steps run on homogeneous integer coordinates: a point is a gcd-reduced
+triple (x, y, w) meaning (x/w, y/w), located and clipped against the
+board's integer edge rows with integer cross-multiplication.  Points
+leave this module as `Point2`s with `Fraction` coordinates.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from fractions import Fraction
+from math import gcd
 
 from .geometry import (
     InternalInvariantError,
     LocationKind,
     Point2,
+    _from_homogeneous,
+    _homogeneous,
     parse_point,
     format_point,
 )
@@ -78,41 +85,61 @@ class Trajectory:
         return len(self.points)
 
 
+def _step(board, move, x, y, w):
+    """The antipode of the boundary point (x/w, y/w) as a reduced triple.
+
+    Returns None when the particle stops there.  The point's heights
+    over the board rows come from one pass; along the line
+    point + t * move, height i changes at the rate alongs[i] / w, so
+    the line leaves the board at the edge with the least height per
+    unit of approach, found by integer cross-multiplication.
+    """
+
+    loc, heights = board._locate(x, y, w)
+    if loc.kind is LocationKind.OUTSIDE:
+        raise NotOnBoundary(f"{_from_homogeneous(x, y, w)} is outside the board")
+    if loc.kind is LocationKind.INTERIOR:
+        raise NotOnBoundary(
+            f"{_from_homogeneous(x, y, w)} is interior, not on the boundary"
+        )
+    mc, md = move.c, move.d
+    alongs = [a * mc + b * md for a, b, _ in board.rows]
+    if loc.kind is LocationKind.EDGE:
+        entering = (alongs[loc.index],)
+    else:  # a corner, where edges index - 1 and index meet
+        entering = (alongs[loc.index - 1], alongs[loc.index])
+    if 0 in entering:
+        return None  # the move line lies along an edge
+    if min(entering) < 0 < max(entering):
+        return None  # the line touches the board only at this corner
+    # The line crosses the interior with t of the sign of `entering`;
+    # it exits where a falling height first reaches zero.
+    sign = 1 if entering[0] > 0 else -1
+    exit_h = exit_rate = exit_along = None
+    for h, along in zip(heights, alongs):
+        rate = -along * sign
+        if rate > 0 and (exit_h is None or h * exit_rate < exit_h * rate):
+            exit_h, exit_rate, exit_along = h, rate, along
+    # t = -h / (w * along) at the exit edge
+    nx = x * exit_along - exit_h * mc
+    ny = y * exit_along - exit_h * md
+    nw = w * exit_along
+    g = gcd(nx, ny, nw)
+    if nw < 0:
+        g = -g
+    return nx // g, ny // g, nw // g
+
+
 def antipode(board, move, point):
     """Other boundary intersection of the move line through `point`.
 
     Returns `point` itself when the line does not cross the interior
-    (it supports an edge or touches only at a corner).
+    (it supports an edge or touches only at a corner).  Raises
+    NotOnBoundary for a point off the boundary.
     """
 
-    loc = board.classify(point)
-    if loc.kind is LocationKind.OUTSIDE:
-        raise NotOnBoundary(f"{point} is outside the board")
-    if loc.kind is LocationKind.INTERIOR:
-        raise NotOnBoundary(f"{point} is interior, not on the boundary")
-
-    # Clip the line point + t * move against every edge half-plane.
-    t_lo = None
-    t_hi = None
-    for edge in board.edges:
-        nx, ny = edge.normal
-        along = nx * move.c + ny * move.d
-        height = edge.side_of(point)
-        if along == 0:
-            if height == 0:
-                return point  # the move line lies along this edge
-            continue
-        t = -Fraction(height, along)
-        if along > 0:
-            if t_lo is None or t > t_lo:
-                t_lo = t
-        else:
-            if t_hi is None or t < t_hi:
-                t_hi = t
-    if t_lo == t_hi:
-        return point  # line touches the board only at this corner
-    t = t_lo if t_lo != 0 else t_hi
-    return Point2(point.x + t * move.c, point.y + t * move.d)
+    landing = _step(board, move, *_homogeneous(point))
+    return point if landing is None else _from_homogeneous(*landing)
 
 
 def trace(board, moves, start, first_move_type, max_points=10_000):
@@ -129,37 +156,41 @@ def trace(board, moves, start, first_move_type, max_points=10_000):
     if max_points < 1:
         raise ValueError(f"max_points must be at least 1, got {max_points}")
     start = start if isinstance(start, Point2) else Point2(*start)
-    points = [start]
-    seen = {start}
-    current = start
+    origin = _homogeneous(start)
+    path = [origin]
+    seen = {origin}
+    current = origin
     move_type = first_move_type
     forward_stopped = False
     cyclic = False
     while True:
-        landing = antipode(board, moves[move_type - 1], current)
-        if landing == current:
+        landing = _step(board, moves[move_type - 1], *current)
+        if landing is None:
             forward_stopped = True
             break
         next_type = other(move_type)
-        if landing == start and next_type == first_move_type:
+        if landing == origin and next_type == first_move_type:
             cyclic = True
             break
         if landing in seen:
             raise InternalInvariantError(
-                f"position {landing} revisited without closing a cycle"
+                f"position {_from_homogeneous(*landing)} revisited without "
+                "closing a cycle"
             )
-        if len(points) == max_points:
+        if len(path) == max_points:
             break
-        points.append(landing)
+        path.append(landing)
         seen.add(landing)
         current = landing
         move_type = next_type
+    points = [start]
+    points.extend(_from_homogeneous(*p) for p in path[1:])
 
     if cyclic:
         status = TrajectoryStatus.CYCLIC
     else:
         backward_move = moves[other(first_move_type) - 1]
-        backward_stopped = antipode(board, backward_move, start) == start
+        backward_stopped = _step(board, backward_move, *origin) is None
         if forward_stopped:
             status = (
                 TrajectoryStatus.STOPPED_BOTH_ENDS
@@ -279,6 +310,9 @@ def parse_trajectory(text):
         else:
             key, _, value = line.partition(" ")
             header[key] = value
+    for key in ("first_move_type", "status"):
+        if key not in header:
+            raise ValueError(f"missing {key!r} header")
     status = TrajectoryStatus(header["status"])
     first = int(header["first_move_type"])
     if "points" in header and int(header["points"]) != len(body):

@@ -1,14 +1,16 @@
 """Exact rational planar geometry: points, moves, convex polygonal boards.
 
-Everything is computed over `fractions.Fraction`; no floats enter any
-predicate.  Boards are strictly convex polygons with rational corners,
-stored counterclockwise with primitive integer inward edge normals.
+No floats enter any predicate.  Points have `fractions.Fraction`
+coordinates.  Boards are strictly convex polygons with rational corners,
+stored counterclockwise with primitive integer inward edge normals, and
+also as integer rows that locate a point given in homogeneous integer
+coordinates (x, y, w), meaning (x/w, y/w), without any Fraction work.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -45,8 +47,10 @@ class Point2:
     y: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "x", Fraction(self.x))
-        object.__setattr__(self, "y", Fraction(self.y))
+        if type(self.x) is not Fraction:
+            object.__setattr__(self, "x", Fraction(self.x))
+        if type(self.y) is not Fraction:
+            object.__setattr__(self, "y", Fraction(self.y))
 
     def __str__(self):
         return f"({self.x}, {self.y})"
@@ -67,6 +71,25 @@ def parse_point(text):
 
 def format_point(point):
     return f"{point.x},{point.y}"
+
+
+def _homogeneous(point):
+    """(x, y, w) with point = (x/w, y/w), w > 0 and gcd(x, y, w) = 1.
+
+    w is the point's denominator, so equal points give equal triples.
+    """
+    px, py = point.x, point.y
+    w = lcm(px.denominator, py.denominator)
+    return (
+        px.numerator * (w // px.denominator),
+        py.numerator * (w // py.denominator),
+        w,
+    )
+
+
+def _from_homogeneous(x, y, w):
+    """The Point2 (x/w, y/w) of a homogeneous triple."""
+    return Point2(Fraction(x, w), Fraction(y, w))
 
 
 def cross(ax, ay, bx, by):
@@ -164,16 +187,33 @@ class BoundaryLocation:
     index: int | None = None
 
 
+_OUTSIDE = BoundaryLocation(LocationKind.OUTSIDE)
+_INTERIOR = BoundaryLocation(LocationKind.INTERIOR)
+
+
 @dataclass(frozen=True)
 class Board:
     """Strictly convex rational polygon, corners counterclockwise.
 
     edges[i] runs from corners[i] to corners[i + 1 (mod n)], so edges
-    i - 1 and i meet at corner i.
+    i - 1 and i meet at corner i.  rows[i] = (a, b, c) is edge i's line
+    scaled by the board denominator L (the lcm of the edge offsets'
+    denominators): a point (x/w, y/w) with w > 0 has the integer height
+    a·x + b·y - c·w = L·w·edges[i].side_of(point), which has the sign
+    of side_of.
     """
 
     corners: tuple
     edges: tuple
+    rows: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        scale = lcm(*(e.offset.denominator for e in self.edges))
+        rows = tuple(
+            (e.normal[0] * scale, e.normal[1] * scale, int(e.offset * scale))
+            for e in self.edges
+        )
+        object.__setattr__(self, "rows", rows)
 
     @classmethod
     def from_corners(cls, corners):
@@ -212,26 +252,33 @@ class Board:
 
     def classify(self, point):
         """Locate a point: interior, on edge i, at corner i, or outside."""
-        n = len(self.edges)
+        return self._locate(*_homogeneous(point))[0]
+
+    def _locate(self, x, y, w):
+        """classify for the point (x/w, y/w), w > 0, plus its heights.
+
+        Returns (location, heights) with heights[i] the integer height
+        of the point over rows[i], computed in one pass.
+        """
+        heights = [a * x + b * y - c * w for a, b, c in self.rows]
         zero = []
-        for i, e in enumerate(self.edges):
-            s = e.side_of(point)
-            if s < 0:
-                return BoundaryLocation(LocationKind.OUTSIDE)
-            if s == 0:
+        for i, h in enumerate(heights):
+            if h < 0:
+                return _OUTSIDE, heights
+            if h == 0:
                 zero.append(i)
         if not zero:
-            return BoundaryLocation(LocationKind.INTERIOR)
+            return _INTERIOR, heights
+        if len(zero) == 1:
+            return BoundaryLocation(LocationKind.EDGE, zero[0]), heights
         if len(zero) == 2:
             i, j = zero
             # adjacent edge lines meet at the shared corner
             if j == i + 1:
-                return BoundaryLocation(LocationKind.CORNER, j)
-            if i == 0 and j == n - 1:
-                return BoundaryLocation(LocationKind.CORNER, 0)
-        if len(zero) == 1:
-            return BoundaryLocation(LocationKind.EDGE, zero[0])
+                return BoundaryLocation(LocationKind.CORNER, j), heights
+            if i == 0 and j == len(heights) - 1:
+                return BoundaryLocation(LocationKind.CORNER, 0), heights
         raise InternalInvariantError(
-            f"point {point} lies on {len(zero)} edge lines of a strictly "
-            "convex board"
+            f"point {_from_homogeneous(x, y, w)} lies on {len(zero)} edge "
+            "lines of a strictly convex board"
         )

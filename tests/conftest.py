@@ -58,3 +58,38 @@ def boundary_points(board):
     return st.tuples(
         st.integers(0, len(edges) - 1), rational_params()
     ).map(lambda pick: edges[pick[0]].at_param(pick[1]))
+
+
+def _strict_hull(points):
+    """Corners of the convex hull, counterclockwise, none collinear."""
+    pts = sorted(set(points))
+
+    def chain(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2 and (
+                (out[-1][0] - out[-2][0]) * (p[1] - out[-1][1])
+                - (out[-1][1] - out[-2][1]) * (p[0] - out[-1][0])
+            ) <= 0:
+                out.pop()
+            out.append(p)
+        return out
+
+    if len(pts) < 3:
+        return pts
+    return chain(pts)[:-1] + chain(reversed(pts))[:-1]
+
+
+def convex_boards():
+    """Strictly convex boards with 3-6 corners of denominator at most 4."""
+    corner = st.integers(1, 4).flatmap(
+        lambda den: st.tuples(
+            st.integers(-2 * den, 2 * den), st.integers(-2 * den, 2 * den)
+        ).map(lambda p: (Fraction(p[0], den), Fraction(p[1], den)))
+    )
+    return (
+        st.lists(corner, min_size=3, max_size=8)
+        .map(_strict_hull)
+        .filter(lambda hull: 3 <= len(hull) <= 6)
+        .map(Board.from_corners)
+    )

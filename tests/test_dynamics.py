@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -18,12 +19,14 @@ from riderflow import (
     trace,
 )
 
-from conftest import boundary_points, move_pairs
+import oracles
+from conftest import boundary_points, convex_boards, move_pairs
 
 F = Fraction
 INCLINED = (canonical_move(2, 1), canonical_move(1, 2))
 ORTH = (canonical_move(2, 1), canonical_move(1, -2))
 BISHOP = (canonical_move(1, 1), canonical_move(1, -1))
+VERTICAL = canonical_move(0, 1)
 
 
 def test_antipode_basic(square):
@@ -207,3 +210,80 @@ def test_augment_round_trip_on_random_windows(data):
     assert aug.points[lo:hi + 1] == t.points
     assert aug.segment_type(lo) == t.first_move_type \
         or lo == hi  # one-point windows carry no segments
+
+
+def test_parse_trajectory_names_a_missing_header():
+    with pytest.raises(ValueError, match="first_move_type"):
+        parse_trajectory("status cyclic\n0,0\n")
+    with pytest.raises(ValueError, match="status"):
+        parse_trajectory("first_move_type 1\n0,0\n")
+
+
+def _outcome(step, *args):
+    try:
+        return step(*args)
+    except Exception as exc:  # the exception class is the outcome
+        return type(exc)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_antipode_matches_the_fraction_oracle(data):
+    board = data.draw(convex_boards())
+    moves = data.draw(move_pairs())
+    corners = board.corners
+    centre = Point2(
+        sum(c.x for c in corners) / len(corners),
+        sum(c.y for c in corners) / len(corners),
+    )
+    beyond = Point2(2 * corners[0].x - centre.x, 2 * corners[0].y - centre.y)
+    points = [
+        *corners,
+        *(data.draw(boundary_points(board)) for _ in range(3)),
+        centre,
+        beyond,
+    ]
+    for p in points:
+        assert board.classify(p) == oracles.classify(board, p)
+        for move in (*moves, VERTICAL):
+            expected = _outcome(oracles.antipode, board, move, p)
+            assert _outcome(antipode, board, move, p) == expected
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_trace_matches_a_trace_stepped_with_the_oracle(data):
+    board = data.draw(convex_boards())
+    a, b = data.draw(move_pairs())
+    start = data.draw(boundary_points(board))
+    first = data.draw(st.sampled_from((1, 2)))
+    pairs = [(a, b)] + [(VERTICAL, m) for m in (a, b) if m != VERTICAL]
+    for moves in pairs:
+        assert trace(board, moves, start, first, max_points=40) \
+            == oracles.stepped_trace(board, moves, start, first, 40)
+
+
+def _hexagon():
+    return Board.from_corners([(0, 0), (3, 0), (4, 2), (3, 4), (0, 4), (-1, 2)])
+
+
+# sha256 of format_trajectory for 2,000-point orbits whose coordinates
+# reach 682-2,000 bits, recorded with the Fraction implementation.
+LONG_ORBITS = [
+    (Board.square, INCLINED, Point2(F(1, 3), 0), 1,
+     "98a87e199cef801c2b7ab9ab457797f69276c0ead226fb1a1e377648b6b6dd5c"),
+    (lambda: Board.from_corners(
+        [(0, 0), (1, 0), (F(3, 2), 1), (F(1, 2), 2), (F(-1, 2), 1)]),
+     ORTH, Point2(F(1, 3), 0), 1,
+     "a06552efab51943e337721bac45a3f696430e7c66d74e21d41434b3c19c30e7b"),
+    (_hexagon, (VERTICAL, canonical_move(3, 1)), Point2(1, 0), 1,
+     "70f693b88b2c9ddf9fd03992cb78db86ad91782f31c6ce51adfca0c7ccf55985"),
+]
+
+
+@pytest.mark.parametrize("make_board, moves, start, first, digest", LONG_ORBITS)
+def test_long_orbit_golden(make_board, moves, start, first, digest):
+    t = trace(make_board(), moves, start, first, max_points=2000)
+    assert t.status is TrajectoryStatus.TRUNCATED and len(t) == 2000
+    text = format_trajectory(t)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
