@@ -16,11 +16,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .geometry import (
     InternalInvariantError,
     LocationKind,
     Point2,
+    _homogeneous,
 )
 from .dynamics import (
     Trajectory,
@@ -289,69 +291,59 @@ def partition_into_trajectories(board, moves, points):
 #
 # A bounce pattern fixes, for each cycle point, the boundary edge it sits
 # on and the pending move type.  Fixing the first point's edge parameter
-# t makes every later point an affine function of t; each landing
-# constrains t to keep its edge parameter inside [0, 1], and closing the
-# cycle imposes one affine equation.  A unique closure root is an
-# isolated cyclical trajectory and is provably rigid; a degenerate
-# closure (0 = 0) is a sliding family, rigid only at parameters where an
-# extra attack coincidence holds, which are roots of further affine
-# functions.  Corner-touching solutions are excluded here — cyclical
-# trajectories through a corner are covered by the corner-trajectory
-# machinery.
+# t makes every later point an affine function of t, held as one
+# gcd-reduced integer family (X1, X0, Y1, Y0, W), W > 0, meaning
+# x(t) = (X1·t + X0)/W and y(t) = (Y1·t + Y0)/W.  Sliding it along move m
+# onto edge row (a, b, c), with along = a·m.c + b·m.d != 0 and the affine
+# height H = a·X + b·Y - c·W, gives X·along - H·m.c, Y·along - H·m.d and
+# W·along.  Each landing keeps the t where both neighbouring edge rows
+# have height >= 0: on a strictly convex board, where the landing lies
+# on its closed edge.  Closing the cycle imposes one affine equation.  A
+# unique closure root is an isolated cyclical trajectory and is provably
+# rigid; a degenerate closure (0 = 0) is a sliding family, rigid only
+# where an extra attack coincidence holds, at roots of further affine
+# functions.  These are all integer cross-multiplications; only window
+# bounds and roots are Fractions.  Corner-touching solutions are
+# excluded here — cyclical trajectories through a corner are covered by
+# the corner-trajectory machinery.
+#
+# Roots use move type 1 only.  Every point of a cycle leaves with move
+# type 1 in exactly one of its two directions of traversal, and landings
+# never go below the root's edge, so a cycle is reached from a point on
+# its lowest edge, in the direction where that point leaves with type 1.
+# Type-2 roots on that edge would run after the type-1 roots and could
+# only find cycles already found.
 
-_Affine = tuple  # (a, b) meaning a * t + b
+
+def _reduced(f):
+    """A family divided by the gcd of its entries, with W > 0."""
+    g = gcd(*f)
+    if f[4] < 0:
+        g = -g
+    return tuple(v // g for v in f)
 
 
-def _aff(a, b):
-    return (Fraction(a), Fraction(b))
-
-
-def _aff_eval(f, t):
-    return f[0] * t + f[1]
-
-
-def _clip(lo, hi, f, negate=False):
-    """Intersect [lo, hi] with {t : f(t) >= 0} (or <= 0 when negate)."""
-    a, b = f
-    if negate:
-        a, b = -a, -b
-    if a == 0:
-        return (lo, hi) if b >= 0 else None
-    bound = -b / a
-    if a > 0:
-        lo = max(lo, bound)
-    else:
-        hi = min(hi, bound)
+def _clip(lo, hi, f1, f0):
+    """Intersect [lo, hi] with {t : f1·t + f0 >= 0}."""
+    if f1 == 0:
+        return (lo, hi) if f0 >= 0 else None
+    bound = Fraction(-f0, f1)
+    if f1 > 0:
+        if bound > lo:
+            lo = bound
+    elif bound < hi:
+        hi = bound
     return (lo, hi) if lo <= hi else None
 
 
-def _land(board, point_aff, move, edge_index):
-    """Affine image of a point slid along `move` onto an edge line."""
-    edge = board.edges[edge_index]
-    nx, ny = edge.normal
-    along = nx * move.c + ny * move.d
-    if along == 0:
-        return None
-    fx, fy = point_aff
-    height = _aff(
-        nx * fx[0] + ny * fy[0],
-        nx * fx[1] + ny * fy[1] - edge.offset,
-    )
-    tau = _aff(-Fraction(height[0], along), -Fraction(height[1], along))
-    qx = _aff(fx[0] + tau[0] * move.c, fx[1] + tau[1] * move.c)
-    qy = _aff(fy[0] + tau[0] * move.d, fy[1] + tau[1] * move.d)
-    span_x = edge.head.x - edge.tail.x
-    if span_x != 0:
-        u = _aff(qx[0] / span_x, (qx[1] - edge.tail.x) / span_x)
-    else:
-        span_y = edge.head.y - edge.tail.y
-        u = _aff(qy[0] / span_y, (qy[1] - edge.tail.y) / span_y)
-    return (qx, qy), u
-
-
-def _candidate_points(path, t):
+def _points_at(path, t):
+    """The path's points at the parameter t."""
+    p, q = t.numerator, t.denominator
     return tuple(
-        Point2(_aff_eval(fx, t), _aff_eval(fy, t)) for fx, fy in path
+        Point2(
+            Fraction(x1 * p + x0 * q, w * q), Fraction(y1 * p + y0 * q, w * q)
+        )
+        for x1, x0, y1, y0, w in path
     )
 
 
@@ -359,10 +351,14 @@ def enumerate_rigid_cycles(board, moves, max_length):
     """All rigid cycles of length at most max_length, sorted.
 
     Returns cyclical Trajectory objects with corner-free point sets,
-    deduplicated across rotations and reversals.
+    deduplicated across rotations and reversals.  Raises ValueError for
+    a negative max_length; lengths below 4 hold no cycle.
     """
 
-    n = len(board.edges)
+    if max_length < 0:
+        raise ValueError(f"max_length must be nonnegative, got {max_length}")
+    rows = board.rows
+    n = len(rows)
     found = {}
 
     def accept(points, first_type, require_rigid):
@@ -388,98 +384,84 @@ def enumerate_rigid_cycles(board, moves, max_length):
             return
         found[key] = traj
 
-    def family_scan(path, first_type, lo, hi, length):
+    def land(family, move, j, lo, hi):
+        """The family slid along move onto edge j and its clipped window,
+        or None."""
+        a, b, c = rows[j]
+        mc, md = move.c, move.d
+        along = a * mc + b * md
+        if along == 0:
+            return None
+        x1, x0, y1, y0, w = family
+        h1 = a * x1 + b * y1
+        h0 = a * x0 + b * y0 - c * w
+        landed = _reduced((x1 * along - h1 * mc, x0 * along - h0 * mc,
+                           y1 * along - h1 * md, y0 * along - h0 * md,
+                           w * along))
+        x1, x0, y1, y0, w = landed
+        window = (lo, hi)
+        for a, b, c in (rows[j - 1], rows[(j + 1) % n]):  # j's neighbours
+            window = _clip(*window, a * x1 + b * y1, a * x0 + b * y0 - c * w)
+            if window is None:
+                return None
+        return landed, window
+
+    def family_scan(path, lo, hi):
+        length = len(path)
         for i in range(length):
+            xi1, xi0, yi1, yi0, wi = path[i]
             for j in range(i + 2, length):
                 if i == 0 and j == length - 1:
                     continue  # adjacent around the cycle
-                dx = _aff(
-                    path[i][0][0] - path[j][0][0],
-                    path[i][0][1] - path[j][0][1],
-                )
-                dy = _aff(
-                    path[i][1][0] - path[j][1][0],
-                    path[i][1][1] - path[j][1][1],
-                )
+                xj1, xj0, yj1, yj0, wj = path[j]
+                # (z_i - z_j)·wi·wj as affine functions of t
+                dx1, dx0 = xi1 * wj - xj1 * wi, xi0 * wj - xj0 * wi
+                dy1, dy0 = yi1 * wj - yj1 * wi, yi0 * wj - yj0 * wi
                 for move in moves:
-                    g = _aff(
-                        dx[0] * move.d - dy[0] * move.c,
-                        dx[1] * move.d - dy[1] * move.c,
-                    )
-                    if g[0] == 0:
+                    g1 = dx1 * move.d - dy1 * move.c
+                    if g1 == 0:
                         continue
-                    root = -g[1] / g[0]
+                    root = Fraction(dy0 * move.c - dx0 * move.d, g1)
                     if lo <= root <= hi:
-                        accept(
-                            _candidate_points(path, root),
-                            first_type,
-                            require_rigid=False,
-                        )
+                        accept(_points_at(path, root), 1, require_rigid=False)
 
-    def descend(path, edges_used, move_type, lo, hi, start_edge, first_type):
+    def descend(path, current_edge, move_type, lo, hi, start_edge):
         depth = len(path)
-        current_edge = edges_used[-1]
         move = moves[move_type - 1]
         # try to close the cycle back onto the start edge
         if depth >= 4 and depth % 2 == 0:
-            landing = _land(board, path[-1], move, start_edge)
+            landing = land(path[-1], move, start_edge, lo, hi)
             if landing is not None:
-                (qx, qy), u = landing
-                closure = _aff(u[0] - 1, u[1])
-                c_lo, c_hi = lo, hi
-                window = _clip(c_lo, c_hi, u)
-                window = window and _clip(window[0], window[1], ((-u[0]), 1 - u[1]))
-                if window is not None:
-                    c_lo, c_hi = window
-                    if closure[0] != 0:
-                        root = -closure[1] / closure[0]
-                        if c_lo <= root <= c_hi:
-                            accept(
-                                _candidate_points(path, root),
-                                first_type,
-                                require_rigid=True,
-                            )
-                    elif closure[1] == 0:
-                        family_scan(path, first_type, c_lo, c_hi, depth)
+                (x1, x0, y1, y0, w), (c_lo, c_hi) = landing
+                s1, s0, t1, t0, v = path[0]
+                # (landing - start)·w·v, which runs along the start edge,
+                # dotted with that edge's direction (s1, t1)
+                d1 = (x1 * v - s1 * w) * s1 + (y1 * v - t1 * w) * t1
+                d0 = (x0 * v - s0 * w) * s1 + (y0 * v - t0 * w) * t1
+                if d1 != 0:
+                    root = Fraction(-d0, d1)
+                    if c_lo <= root <= c_hi:
+                        accept(_points_at(path, root), 1, require_rigid=True)
+                elif d0 == 0:
+                    family_scan(path, c_lo, c_hi)
         if depth >= max_length:
             return
         for edge_index in range(start_edge, n):
             if edge_index == current_edge:
                 continue
-            landing = _land(board, path[-1], move, edge_index)
-            if landing is None:
-                continue
-            (qx, qy), u = landing
-            window = _clip(lo, hi, u)
-            window = window and _clip(window[0], window[1], ((-u[0]), 1 - u[1]))
-            if window is None:
-                continue
-            descend(
-                path + [(qx, qy)],
-                edges_used + [edge_index],
-                other(move_type),
-                window[0],
-                window[1],
-                start_edge,
-                first_type,
-            )
+            landing = land(path[-1], move, edge_index, lo, hi)
+            if landing is not None:
+                family, (w_lo, w_hi) = landing
+                descend(path + [family], edge_index, other(move_type),
+                        w_lo, w_hi, start_edge)
 
     if max_length >= 4:
-        for start_edge in range(n):
-            edge = board.edges[start_edge]
-            p0 = (
-                _aff(edge.head.x - edge.tail.x, edge.tail.x),
-                _aff(edge.head.y - edge.tail.y, edge.tail.y),
-            )
-            for first_type in (1, 2):
-                descend(
-                    [p0],
-                    [start_edge],
-                    first_type,
-                    Fraction(0),
-                    Fraction(1),
-                    start_edge,
-                    first_type,
-                )
+        for start_edge, edge in enumerate(board.edges):
+            # tail + t·(head - tail), t in [0, 1]
+            tx, ty, tw = _homogeneous(edge.tail)
+            hx, hy, hw = _homogeneous(edge.head)
+            p0 = _reduced((hx * tw - tx * hw, tx * hw,
+                           hy * tw - ty * hw, ty * hw, tw * hw))
+            descend([p0], start_edge, 1, Fraction(0), Fraction(1), start_edge)
 
     return sorted(found.values(), key=lambda tr: (len(tr.points), tr.points))

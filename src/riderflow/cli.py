@@ -16,7 +16,6 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from math import lcm
 from pathlib import Path
 
@@ -47,6 +46,7 @@ from .geometry import (
     InternalInvariantError,
     Point2,
     canonical_move,
+    format_point,
     parse_point,
     parse_rational,
     point_denominator,
@@ -60,6 +60,11 @@ class ParseError(ValueError):
 
 class ParallelMoves(ValueError):
     pass
+
+
+# Largest step cap of simulate and corner-trajectories: memory grows with
+# the square of the steps when denominators grow with every step.
+MAX_STEPS = 10_000
 
 
 @dataclass(frozen=True)
@@ -214,6 +219,15 @@ def _resolve_config(args, max_steps=10_000):
     return replace(config, **flags)
 
 
+def _trace_points(config):
+    """The max_points of a trace capped at config.max_steps steps."""
+    if config.max_steps > MAX_STEPS:
+        raise ParseError(
+            f"max_steps must be at most {MAX_STEPS}, got {config.max_steps}"
+        )
+    return config.max_steps + 1
+
+
 def _require(value, name):
     if value is None:
         raise ParseError(f"this command needs {name}")
@@ -232,7 +246,7 @@ def _json_text(payload):
 
 
 def _point_payload(point, decimal):
-    exact = [str(point.x), str(point.y)]
+    exact = format_point(point).split(",")
     if decimal:
         return {"exact": exact, "approx": [float(point.x), float(point.y)]}
     return exact
@@ -267,7 +281,7 @@ def _cmd_simulate(args):
         config.moves,
         start,
         config.first_move,
-        max_points=config.max_steps + 1,
+        max_points=_trace_points(config),
     )
     if args.format == "json":
         payload = _trajectory_payload(trajectory, args.decimal)
@@ -320,7 +334,7 @@ def _cmd_float_sim(args):
 def _cmd_corner_trajectories(args):
     config = _resolve_config(args, max_steps=128)
     trajectories = corner_trajectories(
-        config.board, config.moves, max_points=config.max_steps + 1
+        config.board, config.moves, max_points=_trace_points(config)
     )
     payload = {
         "board_corners": len(config.board.corners),
@@ -389,11 +403,7 @@ def _detect_family(moves):
     if a.c == b.c and a.d == -b.d and b.d > 0:
         return "mirror", {"c": b.c, "d": b.d}
     if a.c > 0 and a.d > 0 and b.c > 0 and b.d > 0:
-        return "inclined", {
-            "slopes": [
-                str(Fraction(m.d, m.c)) for m in (a, b)
-            ]
-        }
+        return "inclined", {"slopes": [str(m.slope()) for m in (a, b)]}
     return None, None
 
 

@@ -10,6 +10,7 @@ coordinates (x, y, w), meaning (x/w, y/w), without any Fraction work.
 from __future__ import annotations
 
 import enum
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
@@ -69,8 +70,21 @@ def parse_point(text):
     return Point2(parse_rational(parts[0]), parse_rational(parts[1]))
 
 
+# CPython before 3.10.7 has no int-to-str digit limit and no setter.
+_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+_set_digit_limit = getattr(sys, "set_int_max_str_digits", lambda digits: 0)
+
+
 def format_point(point):
-    return f"{point.x},{point.y}"
+    """'x,y' in exact form.  CPython's int-to-str digit limit (4,300
+    digits) is lifted only while the point formats; it still guards
+    the parsing of input."""
+    limit = _digit_limit()
+    _set_digit_limit(0)
+    try:
+        return f"{point.x},{point.y}"
+    finally:
+        _set_digit_limit(limit)
 
 
 def _homogeneous(point):

@@ -35,12 +35,13 @@ def _all_canonical_moves(limit=4):
     return sorted(seen)
 
 
-CANONICAL_MOVES = _all_canonical_moves()
-MOVE_PAIRS = [
-    (a, b)
-    for i, a in enumerate(CANONICAL_MOVES)
-    for b in CANONICAL_MOVES[i + 1:]
-]
+def canonical_move_pairs(limit=4):
+    """Unordered pairs of distinct canonical moves with |c|, |d| <= limit."""
+    moves = _all_canonical_moves(limit)
+    return [(a, b) for i, a in enumerate(moves) for b in moves[i + 1:]]
+
+
+MOVE_PAIRS = canonical_move_pairs()
 
 
 def move_pairs():

@@ -7,7 +7,15 @@ from pathlib import Path
 
 import pytest
 
-from riderflow import Board, Point2, parse_trajectory
+from riderflow import (
+    Board,
+    Point2,
+    canonical_move,
+    parse_point,
+    parse_trajectory,
+    point_denominator,
+    trace,
+)
 from riderflow.cli import (
     ParallelMoves,
     ParseError,
@@ -360,3 +368,67 @@ def test_zero_max_steps_keeps_the_start(capsys):
     traj = parse_trajectory(out)
     assert traj.points == (Point2(F(1, 3), 0),)
     assert traj.status.value == "truncated"
+
+
+@pytest.mark.parametrize("command", ["simulate", "corner-trajectories"])
+def test_step_cap_above_the_limit_is_rejected(capsys, command):
+    start = ["--start", "1/3,0"] if command == "simulate" else []
+    argv = [command, "--moves", "2,1", "1,2", *start]
+    code, out, _ = run_cli(capsys, *argv, "--max-steps", "10000")
+    assert code == 0 and out
+    code, out, err = run_cli(capsys, *argv, "--max-steps", "10001")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "10000" in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "corner-trajectories"])
+def test_step_cap_above_the_limit_in_config_is_rejected(
+    capsys, tmp_path, command
+):
+    cfg_file = tmp_path / "problem.json"
+    cfg_file.write_text(
+        '{"moves": [[2, 1], [1, 2]], "start": "1/3,0", "max_steps": 10001}'
+    )
+    code, out, err = run_cli(capsys, command, "--config", str(cfg_file))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "10000" in err
+
+
+@pytest.mark.slow
+def test_simulate_prints_coordinates_beyond_the_digit_limit(capsys):
+    # at the default cap this orbit's coordinates pass 4,300 digits,
+    # CPython's default limit for int-to-str conversion
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run_cli(
+        capsys, "simulate", "--moves", "3,2", "2,3", "--start", "1/3,0"
+    )
+    assert (code, err) == (0, "")
+    assert sys.get_int_max_str_digits() == limit
+    last = trace(
+        Board.square(),
+        (canonical_move(3, 2), canonical_move(2, 3)),
+        Point2(F(1, 3), 0),
+        1,
+        max_points=10_001,
+    ).points[-1]
+    assert point_denominator(last).bit_length() > 14_300  # 4,300+ digits
+    sys.set_int_max_str_digits(0)  # to parse the printed point back
+    try:
+        assert parse_point(out.rstrip("\n").rsplit("\n", 1)[1]) == last
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_rigid_cycles_reject_a_negative_length(capsys):
+    code, out, err = run_cli(
+        capsys, "rigid-cycles", "--moves", "2,1", "1,-2", "--max-len", "-3"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    code, out, _ = run_cli(
+        capsys, "rigid-cycles", "--moves", "2,1", "1,-2", "--max-len", "3"
+    )
+    assert code == 0 and json.loads(out)["count"] == 0
