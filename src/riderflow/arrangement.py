@@ -140,9 +140,12 @@ def arrangement_of(board, moves, pieces):
     """All attack and fixation hyperplanes through a configuration."""
     pieces = tuple(p if isinstance(p, Point2) else Point2(*p) for p in pieces)
     q = len(pieces)
+    fixed = []  # per piece, the edges whose lines hold it
     for z in pieces:
-        if not board.contains(z):
+        loc, heights = board._locate(*_homogeneous(z))
+        if loc.kind is LocationKind.OUTSIDE:
             raise OutsideBoard(f"piece at {z} is off the board")
+        fixed.append([e for e, h in zip(board.edges, heights) if h == 0])
     dim = 2 * q
     hyps = []
     for i in range(q):
@@ -158,16 +161,15 @@ def arrangement_of(board, moves, pieces):
                             "attack",
                         )
                     )
-    for i, z in enumerate(pieces):
-        for edge in board.edges:
-            if edge.side_of(z) == 0:
-                hyps.append(
-                    Hyperplane(
-                        _fixation_normal(dim, i, edge),
-                        Fraction(edge.offset),
-                        "fixation",
-                    )
+    for i, edges in enumerate(fixed):
+        for edge in edges:
+            hyps.append(
+                Hyperplane(
+                    _fixation_normal(dim, i, edge),
+                    Fraction(edge.offset),
+                    "fixation",
                 )
+            )
     return HyperplaneSystem(q, tuple(hyps))
 
 
@@ -202,15 +204,17 @@ def partition_into_trajectories(board, moves, points):
         {p if isinstance(p, Point2) else Point2(*p) for p in points}
     )
     pool = set(points)
-    links = {}
-    for p in points:
-        for r in (1, 2):
-            q = antipode(board, moves[r - 1], p)
-            links[(p, r)] = q if (q != p and q in pool) else None
+    image = {
+        (p, r): antipode(board, moves[r - 1], p) for p in points for r in (1, 2)
+    }
+    links = {
+        key: q if (q != key[0] and q in pool) else None
+        for key, q in image.items()
+    }
 
     def end_open(p, r):
         # antipode under move r neither stops nor stays in the set
-        q = antipode(board, moves[r - 1], p)
+        q = image[(p, r)]
         return q != p and q not in pool
 
     done = set()
@@ -218,22 +222,20 @@ def partition_into_trajectories(board, moves, points):
     for start in points:
         if start in done:
             continue
-        # find a path endpoint in this component, or detect a cycle
-        endpoint = None
-        endpoint_type = None
         stack = [start]
         comp = {start}
         while stack:
             p = stack.pop()
-            missing = [r for r in (1, 2) if links[(p, r)] is None]
-            if missing and endpoint is None:
-                endpoint, endpoint_type = p, other(missing[0])
             for r in (1, 2):
                 q = links[(p, r)]
                 if q is not None and q not in comp:
                     comp.add(q)
                     stack.append(q)
-        if endpoint is None:
+        # each missing link marks a path end, left by the other move type
+        ends = [
+            (p, other(r)) for p in comp for r in (1, 2) if links[(p, r)] is None
+        ]
+        if not ends:
             # pure cycle: walk it from its smallest point
             first = min(comp)
             seq = [first]
@@ -253,23 +255,13 @@ def partition_into_trajectories(board, moves, points):
             traj = Trajectory(tuple(seq), 1, TrajectoryStatus.CYCLIC)
         else:
             # walk the path from its smallest usable endpoint
-            candidates = []
-            for p in comp:
-                missing = [r for r in (1, 2) if links[(p, r)] is None]
-                if missing:
-                    for r in missing:
-                        candidates.append((p, other(r)))
-            endpoint, endpoint_type = min(
-                candidates, key=lambda item: (item[0], item[1])
-            )
-            seq = [endpoint]
-            move_type = endpoint_type
-            cur = endpoint
+            cur, first_type = min(ends)
+            seq = [cur]
+            move_type = first_type
             while links[(cur, move_type)] is not None:
                 cur = links[(cur, move_type)]
                 seq.append(cur)
                 move_type = other(move_type)
-            first_type = endpoint_type
             back_open = end_open(seq[0], other(first_type))
             fwd_open = end_open(seq[-1], move_type)
             if back_open and fwd_open:
@@ -300,12 +292,16 @@ def partition_into_trajectories(board, moves, points):
 # have height >= 0: on a strictly convex board, where the landing lies
 # on its closed edge.  Closing the cycle imposes one affine equation.  A
 # unique closure root is an isolated cyclical trajectory and is provably
-# rigid; a degenerate closure (0 = 0) is a sliding family, rigid only
-# where an extra attack coincidence holds, at roots of further affine
-# functions.  These are all integer cross-multiplications; only window
-# bounds and roots are Fractions.  Corner-touching solutions are
-# excluded here — cyclical trajectories through a corner are covered by
-# the corner-trajectory machinery.
+# rigid.  A degenerate closure (0 = 0) is a sliding family: every member
+# keeps the family direction in the kernel of its arrangement, so none
+# is rigid unless an attack between non-adjacent points adds a row.  On
+# a strictly convex board the line through a cycle point along either
+# move meets the boundary only at that point and at its neighbour along
+# that move, so such an attack repeats a point.  Degenerate closures are
+# therefore skipped.  These are all integer cross-multiplications;
+# only window bounds and roots are Fractions.  Corner-touching solutions
+# are excluded here — cyclical trajectories through a corner are covered
+# by the corner-trajectory machinery.
 #
 # Roots use move type 1 only.  Every point of a cycle leaves with move
 # type 1 in exactly one of its two directions of traversal, and landings
@@ -361,7 +357,7 @@ def enumerate_rigid_cycles(board, moves, max_length):
     n = len(rows)
     found = {}
 
-    def accept(points, first_type, require_rigid):
+    def accept(points):
         if len(set(points)) != len(points):
             return
         for p in points:
@@ -370,18 +366,15 @@ def enumerate_rigid_cycles(board, moves, max_length):
         key = frozenset(points)
         if key in found:
             return
-        traj = trace(board, moves, points[0], first_type, max_points=len(points))
+        traj = trace(board, moves, points[0], 1, max_points=len(points))
         if traj.status is not TrajectoryStatus.CYCLIC or traj.points != points:
             raise InternalInvariantError(
                 f"pattern solution {points} does not re-trace to itself"
             )
-        verdict = classify_cycle(board, moves, traj)
-        if not verdict.rigid:
-            if require_rigid:
-                raise InternalInvariantError(
-                    f"isolated closure {points} classified non-rigid"
-                )
-            return
+        if not classify_cycle(board, moves, traj).rigid:
+            raise InternalInvariantError(
+                f"isolated closure {points} classified non-rigid"
+            )
         found[key] = traj
 
     def land(family, move, j, lo, hi):
@@ -406,25 +399,6 @@ def enumerate_rigid_cycles(board, moves, max_length):
                 return None
         return landed, window
 
-    def family_scan(path, lo, hi):
-        length = len(path)
-        for i in range(length):
-            xi1, xi0, yi1, yi0, wi = path[i]
-            for j in range(i + 2, length):
-                if i == 0 and j == length - 1:
-                    continue  # adjacent around the cycle
-                xj1, xj0, yj1, yj0, wj = path[j]
-                # (z_i - z_j)·wi·wj as affine functions of t
-                dx1, dx0 = xi1 * wj - xj1 * wi, xi0 * wj - xj0 * wi
-                dy1, dy0 = yi1 * wj - yj1 * wi, yi0 * wj - yj0 * wi
-                for move in moves:
-                    g1 = dx1 * move.d - dy1 * move.c
-                    if g1 == 0:
-                        continue
-                    root = Fraction(dy0 * move.c - dx0 * move.d, g1)
-                    if lo <= root <= hi:
-                        accept(_points_at(path, root), 1, require_rigid=False)
-
     def descend(path, current_edge, move_type, lo, hi, start_edge):
         depth = len(path)
         move = moves[move_type - 1]
@@ -441,9 +415,7 @@ def enumerate_rigid_cycles(board, moves, max_length):
                 if d1 != 0:
                     root = Fraction(-d0, d1)
                     if c_lo <= root <= c_hi:
-                        accept(_points_at(path, root), 1, require_rigid=True)
-                elif d0 == 0:
-                    family_scan(path, c_lo, c_hi)
+                        accept(_points_at(path, root))
         if depth >= max_length:
             return
         for edge_index in range(start_edge, n):

@@ -66,6 +66,12 @@ class ParallelMoves(ValueError):
 # the square of the steps when denominators grow with every step.
 MAX_STEPS = 10_000
 
+# Longest rigid cycle that rigid-cycles, denominator, conjecture and
+# render search for.  The search grows 3-5x per two lengths: its worst
+# case over the square and a pentagon with moves |c|, |d| <= 3 took 8 s
+# at 16 and 35 s at 18 (Python 3.11, one core of a shared VM).
+MAX_CYCLE_LENGTH = 16
+
 
 @dataclass(frozen=True)
 class ProblemConfig:
@@ -75,7 +81,7 @@ class ProblemConfig:
     n_max: int | None = None
     start: Point2 | None = None
     first_move: int = 1
-    max_steps: int = 10_000
+    max_steps: int = MAX_STEPS
 
 
 def _canonical_pair(raw_moves):
@@ -103,7 +109,7 @@ def _board_from_value(value):
     return Board.from_corners(corners)
 
 
-def parse_config(text, max_steps=10_000):
+def parse_config(text, max_steps=MAX_STEPS):
     """Problem config from JSON text; max_steps is the cap if it has none."""
     try:
         data = json.loads(text)
@@ -191,7 +197,7 @@ def _board_arg(text):
     return _board_from_value(json.loads(Path(text).read_text()))
 
 
-def _resolve_config(args, max_steps=10_000):
+def _resolve_config(args, max_steps=MAX_STEPS):
     """Merge config file and command line; explicit flags win.
 
     max_steps is the command's cap when neither gives one.
@@ -226,6 +232,15 @@ def _trace_points(config):
             f"max_steps must be at most {MAX_STEPS}, got {config.max_steps}"
         )
     return config.max_steps + 1
+
+
+def _search_length(length, name):
+    """A rigid-cycle search length given as `name`, capped."""
+    if length > MAX_CYCLE_LENGTH:
+        raise ParseError(
+            f"{name} must be at most {MAX_CYCLE_LENGTH}, got {length}"
+        )
+    return length
 
 
 def _require(value, name):
@@ -353,7 +368,7 @@ def _cmd_corner_trajectories(args):
 def _cmd_rigid_cycles(args):
     config = _resolve_config(args)
     cycles = enumerate_rigid_cycles(
-        config.board, config.moves, args.max_len
+        config.board, config.moves, _search_length(args.max_len, "--max-len")
     )
     payload = {
         "max_length": args.max_len,
@@ -378,7 +393,7 @@ def _cmd_rigid_cycles(args):
 
 def _cmd_denominator(args):
     config = _resolve_config(args)
-    q = _require(config.q, "--q")
+    q = _search_length(_require(config.q, "--q"), "q")
     report = denominator(config.board, config.moves, q)
     payload = {
         "q": q,
@@ -478,7 +493,7 @@ def _cmd_period(args):
 
 def _cmd_conjecture(args):
     config = _resolve_config(args)
-    q = _require(config.q, "--q")
+    q = _search_length(_require(config.q, "--q"), "q")
     n_max = _require(config.n_max, "--n-max")
     report = conjecture_report(config.moves, q, n_max)
     payload = {
@@ -494,7 +509,7 @@ def _cmd_conjecture(args):
 
 def _cmd_render(args):
     config = _resolve_config(args)
-    q = config.q if config.q is not None else 4
+    q = _search_length(config.q if config.q is not None else 4, "q")
     paths = []
     for trajectory in corner_trajectories(
         config.board, config.moves, max_points=q

@@ -259,7 +259,7 @@ class Board:
         return cls.from_corners([(0, 0), (1, 0), (1, 1), (0, 1)])
 
     def contains(self, point):
-        return all(e.side_of(point) >= 0 for e in self.edges)
+        return self._locate(*_homogeneous(point))[0] is not _OUTSIDE
 
     def interior_contains(self, point):
         return all(e.side_of(point) > 0 for e in self.edges)

@@ -1,6 +1,9 @@
 import hashlib
+import os
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +12,7 @@ from riderflow import (
     Board,
     LocationKind,
     NotCyclic,
+    OutsideBoard,
     Point2,
     TrajectoryStatus,
     arrangement_of,
@@ -69,6 +73,13 @@ def test_arrangement_counts_hyperplanes(square):
     assert system.rank() == 3
     assert not system.is_vertex()
     assert system.deficiency() == 1
+
+
+def test_arrangement_rejects_pieces_off_the_board(square):
+    # (2, 0) lies on the bottom edge's line but past the right edge
+    for z in (Point2(2, 0), Point2(F(1, 2), F(-1, 3))):
+        with pytest.raises(OutsideBoard):
+            arrangement_of(square, BISHOP, [Point2(0, 0), z])
 
 
 def test_coincident_pieces_attack_along_both_moves(square):
@@ -208,19 +219,20 @@ def _hexagon():
     ])
 
 
-def _search_calls(name, board, moves, max_length):
+def _search_calls(name, board, moves, max_length,
+                  search=enumerate_rigid_cycles):
     """The search's result and the arguments of each call it makes to its
     inner function `name`."""
     calls = []
 
     def watch(frame, event, arg):
         if (event == "call" and frame.f_code.co_name == name
-                and frame.f_globals["__name__"] == "riderflow.arrangement"):
+                and frame.f_globals["__name__"] == search.__module__):
             calls.append(dict(frame.f_locals))
 
     sys.setprofile(watch)
     try:
-        cycles = enumerate_rigid_cycles(board, moves, max_length)
+        cycles = search(board, moves, max_length)
     finally:
         sys.setprofile(None)
     return cycles, calls
@@ -275,6 +287,9 @@ RIGID_CYCLE_LISTS = [
     (Board.square, [ORTH, (canonical_move(3, 1), canonical_move(1, -3))],
      12, 2,
      "251b0191eb730a3d9dff3a6cde15d459d48e57a2f1db2402483102ce5809e62d"),
+    # the pairs with a diagonal move hold sliding families here
+    (Board.square, canonical_move_pairs(3), 10, 18,
+     "80fde1950c00f59bf04ac3b941cc625465fc77efe4c441796edfc0e12575e68a"),
 ]
 
 
@@ -295,10 +310,30 @@ def test_rigid_cycle_lists_golden(make_board, pairs, length, total, digest):
     assert hashlib.sha256("".join(text).encode()).hexdigest() == digest
 
 
-def test_degenerate_closure_scans_its_family(square):
+def test_sliding_families_hold_no_rigid_cycle(square):
     # every bishop 4-cycle on the square closes up, so the closure
-    # equation is 0 = 0 and the search scans the sliding family; its
-    # attack roots sit at corners, where two cycle points coincide
-    cycles, scans = _search_calls("family_scan", square, BISHOP, 4)
-    assert cycles == []
+    # equation is 0 = 0; the oracle scans each sliding family for attack
+    # coincidences, and the search, which skips them, finds the same
+    cycles, scans = _search_calls("family_scan", square, BISHOP, 8,
+                                  search=oracles.rigid_cycles)
     assert scans
+    assert cycles == enumerate_rigid_cycles(square, BISHOP, 8) == []
+
+
+def test_bishop_search_on_the_square_stays_fast():
+    # the bishops' sliding families are not scanned: scanning them at
+    # L = 16 takes tens of seconds
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    code = (
+        "from riderflow import Board, canonical_move as m, "
+        "enumerate_rigid_cycles\n"
+        "print(len(enumerate_rigid_cycles(Board.square(), "
+        "(m(1, 1), m(1, -1)), 16)))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        timeout=20, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "0\n"

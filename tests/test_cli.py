@@ -17,6 +17,7 @@ from riderflow import (
     trace,
 )
 from riderflow.cli import (
+    MAX_CYCLE_LENGTH,
     ParallelMoves,
     ParseError,
     main,
@@ -380,6 +381,37 @@ def test_step_cap_above_the_limit_is_rejected(capsys, command):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "10000" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["rigid-cycles", "--max-len"],
+    ["render", "--q"],
+    ["denominator", "--q"],
+    ["conjecture", "--n-max", "8", "--q"],
+])
+def test_search_length_above_the_cap_is_rejected(capsys, argv):
+    code, out, err = run_cli(
+        capsys, argv[0], "--moves", "2,1", "1,-2", *argv[1:],
+        str(MAX_CYCLE_LENGTH + 1),
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and str(MAX_CYCLE_LENGTH) in err
+
+
+@pytest.mark.parametrize("command", ["render", "denominator", "conjecture"])
+def test_search_length_above_the_cap_in_config_is_rejected(
+    capsys, tmp_path, command
+):
+    cfg_file = tmp_path / "problem.json"
+    cfg_file.write_text(
+        '{"moves": [[2, 1], [1, -2]], "n_max": 8, '
+        f'"q": {MAX_CYCLE_LENGTH + 1}}}'
+    )
+    code, out, err = run_cli(capsys, command, "--config", str(cfg_file))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and str(MAX_CYCLE_LENGTH) in err
 
 
 @pytest.mark.parametrize("command", ["simulate", "corner-trajectories"])
