@@ -9,18 +9,27 @@ from riderflow import (
     InternalInvariantError,
     NotOnBoundary,
     Point2,
+    Trajectory,
     TrajectoryStatus,
     antipode,
     augment,
     canonical_move,
     corner_trajectories,
+    enumerate_rigid_cycles,
+    format_point,
     format_trajectory,
     parse_trajectory,
+    partition_into_trajectories,
     trace,
 )
 
 import oracles
-from conftest import boundary_points, convex_boards, move_pairs
+from conftest import (
+    boundary_points,
+    canonical_move_pairs,
+    convex_boards,
+    move_pairs,
+)
 
 F = Fraction
 INCLINED = (canonical_move(2, 1), canonical_move(1, 2))
@@ -287,3 +296,92 @@ def test_long_orbit_golden(make_board, moves, start, first, digest):
     assert t.status is TrajectoryStatus.TRUNCATED and len(t) == 2000
     text = format_trajectory(t)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# sha256 of partition_into_trajectories output (first type, status and
+# points of every component) over the scope of _partition_scope,
+# recorded before the partition moved into dynamics.
+PARTITION_SHA256 = (
+    "e0a69d3e3d950d6e6ff1ae77ab013949afc869ffb90c2eeaa36afefcf5cb2a13"
+)
+
+
+def _partition_scope():
+    """Point sets with paths, cycles and singletons, several per call.
+
+    Per board and move pair with |c|, |d| <= 3: short corner windows,
+    the rigid cycles of length at most 4 and one point per edge, then
+    the same set with every third point dropped.
+    """
+    boards = [
+        Board.square(),
+        Board.from_corners(
+            [(0, 0), (1, 0), (F(3, 2), 1), (F(1, 2), 2), (F(-1, 2), 1)]
+        ),
+        Board.from_corners([(0, 0), (2, 0), (F(1, 2), F(3, 2))]),
+    ]
+    for board in boards:
+        for moves in canonical_move_pairs(3):
+            pool = set()
+            for i, corner in enumerate(board.corners):
+                for r in (1, 2):
+                    cap = 1 + (i + r) % 4
+                    pool.update(trace(board, moves, corner, r, cap).points)
+            for cycle in enumerate_rigid_cycles(board, moves, 4):
+                pool.update(cycle.points)
+            pool.update(edge.at_param(F(1, 3)) for edge in board.edges)
+            pts = sorted(pool)
+            yield board, moves, pts
+            yield board, moves, [p for i, p in enumerate(pts) if i % 3]
+
+
+def test_partition_digest():
+    digest = hashlib.sha256()
+    kinds = set()
+    for board, moves, pts in _partition_scope():
+        parts = partition_into_trajectories(board, moves, pts)
+        assert len(parts) > 1
+        for t in parts:
+            kinds.add("single" if len(t) == 1 else t.status)
+            points = " ".join(format_point(p) for p in t.points)
+            digest.update(
+                f"{t.first_move_type} {t.status.value} {points}\n".encode()
+            )
+        digest.update(b"\n")
+    assert len(kinds) == 1 + len(TrajectoryStatus)
+    assert digest.hexdigest() == PARTITION_SHA256
+
+
+def _links(trajectory):
+    return {(frozenset(s[:2]), s[2]) for s in trajectory.segments()}
+
+
+MIRRORED = {
+    TrajectoryStatus.STOPPED_FORWARD: TrajectoryStatus.STOPPED_BACKWARD,
+    TrajectoryStatus.STOPPED_BACKWARD: TrajectoryStatus.STOPPED_FORWARD,
+}
+
+
+@given(st.data())
+@settings(max_examples=120, deadline=None)
+def test_partition_of_a_trace_window_is_the_window(data):
+    board = data.draw(convex_boards())
+    moves = data.draw(move_pairs())
+    start = data.draw(boundary_points(board))
+    first = data.draw(st.sampled_from((1, 2)))
+    t = trace(board, moves, start, first, data.draw(st.integers(1, 9)))
+    parts = partition_into_trajectories(board, moves, t.points)
+    assert len(parts) == 1
+    (part,) = parts
+    if t.status is TrajectoryStatus.CYCLIC:
+        # the partition starts a cycle at its smallest point, type 1 first
+        assert part.status is TrajectoryStatus.CYCLIC
+        assert (part.points[0], part.first_move_type) == (min(t.points), 1)
+        assert _links(part) == _links(t)
+        return
+    reversed_t = Trajectory(
+        t.points[::-1],
+        t.move_type_at(len(t.points) - 2),
+        MIRRORED.get(t.status, t.status),
+    )
+    assert part in (t, reversed_t)
