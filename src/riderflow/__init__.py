@@ -29,6 +29,7 @@ from .dynamics import (
     format_trajectory,
     other,
     parse_trajectory,
+    partition_into_trajectories,
     trace,
 )
 from .arrangement import (
@@ -41,7 +42,6 @@ from .arrangement import (
     classify_cycle,
     enumerate_rigid_cycles,
     matrix_rank,
-    partition_into_trajectories,
     solve_square_system,
 )
 from .denominator import (

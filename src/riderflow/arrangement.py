@@ -24,13 +24,7 @@ from .geometry import (
     Point2,
     _homogeneous,
 )
-from .dynamics import (
-    Trajectory,
-    TrajectoryStatus,
-    antipode,
-    other,
-    trace,
-)
+from .dynamics import TrajectoryStatus, other, trace
 
 
 class OutsideBoard(ValueError):
@@ -188,94 +182,6 @@ def classify_cycle(board, moves, trajectory):
     r = system.rank()
     l = len(trajectory.points)
     return CycleClassification(l, r, r == 2 * l)
-
-
-def partition_into_trajectories(board, moves, points):
-    """Split a finite set of boundary points into maximal trajectories.
-
-    Two points are linked when one is the other's antipode under either
-    move; each point has at most one link per move type, so components
-    are alternating paths or cycles.  Output trajectories carry statuses
-    describing each end: stopped when the antipode there is the
-    identity, truncated when it leaves the given set.
-    """
-
-    points = sorted(
-        {p if isinstance(p, Point2) else Point2(*p) for p in points}
-    )
-    pool = set(points)
-    image = {
-        (p, r): antipode(board, moves[r - 1], p) for p in points for r in (1, 2)
-    }
-    links = {
-        key: q if (q != key[0] and q in pool) else None
-        for key, q in image.items()
-    }
-
-    def end_open(p, r):
-        # antipode under move r neither stops nor stays in the set
-        q = image[(p, r)]
-        return q != p and q not in pool
-
-    done = set()
-    out = []
-    for start in points:
-        if start in done:
-            continue
-        stack = [start]
-        comp = {start}
-        while stack:
-            p = stack.pop()
-            for r in (1, 2):
-                q = links[(p, r)]
-                if q is not None and q not in comp:
-                    comp.add(q)
-                    stack.append(q)
-        # each missing link marks a path end, left by the other move type
-        ends = [
-            (p, other(r)) for p in comp for r in (1, 2) if links[(p, r)] is None
-        ]
-        if not ends:
-            # pure cycle: walk it from its smallest point
-            first = min(comp)
-            seq = [first]
-            move_type = 1
-            cur = first
-            while True:
-                nxt = links[(cur, move_type)]
-                if nxt == first and other(move_type) == 1:
-                    break
-                if nxt is None or nxt in seq:
-                    raise InternalInvariantError(
-                        "alternating walk left its cycle component"
-                    )
-                seq.append(nxt)
-                cur = nxt
-                move_type = other(move_type)
-            traj = Trajectory(tuple(seq), 1, TrajectoryStatus.CYCLIC)
-        else:
-            # walk the path from its smallest usable endpoint
-            cur, first_type = min(ends)
-            seq = [cur]
-            move_type = first_type
-            while links[(cur, move_type)] is not None:
-                cur = links[(cur, move_type)]
-                seq.append(cur)
-                move_type = other(move_type)
-            back_open = end_open(seq[0], other(first_type))
-            fwd_open = end_open(seq[-1], move_type)
-            if back_open and fwd_open:
-                status = TrajectoryStatus.TRUNCATED
-            elif back_open:
-                status = TrajectoryStatus.STOPPED_FORWARD
-            elif fwd_open:
-                status = TrajectoryStatus.STOPPED_BACKWARD
-            else:
-                status = TrajectoryStatus.STOPPED_BOTH_ENDS
-            traj = Trajectory(tuple(seq), first_type, status)
-        done.update(comp)
-        out.append(traj)
-    return out
 
 
 # ---------------------------------------------------------------------------

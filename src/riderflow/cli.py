@@ -45,6 +45,7 @@ from .geometry import (
     Board,
     InternalInvariantError,
     Point2,
+    _unlimited_digits,
     canonical_move,
     format_point,
     parse_point,
@@ -71,6 +72,22 @@ MAX_STEPS = 10_000
 # case over the square and a pentagon with moves |c|, |d| <= 3 took 8 s
 # at 16 and 35 s at 18 (Python 3.11, one core of a shared VM).
 MAX_CYCLE_LENGTH = 16
+
+# Caps of the counting commands, each timed alone on bishops: the flat
+# table grows like the Bell numbers (to n = 12: 5.3 s at q = 8, 28 s at
+# 9), and n_max costs 1.6 s at 200 and 14 s at 400 (q = 2).  More pieces
+# than the board has cells count 0 at no cost and pass.  The product is
+# not capped: q = 7 to n = 36 took 39 s.
+MAX_PIECES = 8
+MAX_N_MAX = 200
+
+# closed-form's inclined form grows faster than q^2: its worst pair with
+# |c|, |d| <= 3 took 2.2 s at q = 10,000 and 4.7 s at 20,000.
+MAX_CLOSED_FORM_Q = 10_000
+
+# float-sim holds and prints its path: per 100,000 steps 1.2 s, 4.7 MB
+# of output and 54 MB of memory.
+MAX_FLOAT_STEPS = 100_000
 
 
 @dataclass(frozen=True)
@@ -225,22 +242,25 @@ def _resolve_config(args, max_steps=MAX_STEPS):
     return replace(config, **flags)
 
 
+def _capped(value, cap, name):
+    """A size given as `name`, at most `cap`."""
+    if value > cap:
+        raise ParseError(f"{name} must be at most {cap}, got {value}")
+    return value
+
+
 def _trace_points(config):
     """The max_points of a trace capped at config.max_steps steps."""
-    if config.max_steps > MAX_STEPS:
-        raise ParseError(
-            f"max_steps must be at most {MAX_STEPS}, got {config.max_steps}"
-        )
-    return config.max_steps + 1
+    return _capped(config.max_steps, MAX_STEPS, "max_steps") + 1
 
 
-def _search_length(length, name):
-    """A rigid-cycle search length given as `name`, capped."""
-    if length > MAX_CYCLE_LENGTH:
-        raise ParseError(
-            f"{name} must be at most {MAX_CYCLE_LENGTH}, got {length}"
-        )
-    return length
+def _counting_sizes(config):
+    """The capped q and n_max of count, period and conjecture."""
+    q = _require(config.q, "--q")
+    n_max = _capped(_require(config.n_max, "--n-max"), MAX_N_MAX, "n_max")
+    if q <= n_max * n_max:
+        _capped(q, MAX_PIECES, "q")
+    return q, n_max
 
 
 def _require(value, name):
@@ -257,7 +277,8 @@ def _emit(text, out_path):
 
 
 def _json_text(payload):
-    return json.dumps(payload, indent=2) + "\n"
+    with _unlimited_digits():
+        return json.dumps(payload, indent=2) + "\n"
 
 
 def _point_payload(point, decimal):
@@ -334,7 +355,7 @@ def _cmd_float_sim(args):
         slopes,
         (start.x, start.y),
         first_move_type=args.first_move or 1,
-        steps=args.steps,
+        steps=_capped(args.steps, MAX_FLOAT_STEPS, "--steps"),
         limit_set=limit_set,
         tol=args.tol,
     )
@@ -368,7 +389,8 @@ def _cmd_corner_trajectories(args):
 def _cmd_rigid_cycles(args):
     config = _resolve_config(args)
     cycles = enumerate_rigid_cycles(
-        config.board, config.moves, _search_length(args.max_len, "--max-len")
+        config.board, config.moves,
+        _capped(args.max_len, MAX_CYCLE_LENGTH, "--max-len"),
     )
     payload = {
         "max_length": args.max_len,
@@ -393,7 +415,7 @@ def _cmd_rigid_cycles(args):
 
 def _cmd_denominator(args):
     config = _resolve_config(args)
-    q = _search_length(_require(config.q, "--q"), "q")
+    q = _capped(_require(config.q, "--q"), MAX_CYCLE_LENGTH, "q")
     report = denominator(config.board, config.moves, q)
     payload = {
         "q": q,
@@ -424,7 +446,7 @@ def _detect_family(moves):
 
 def _cmd_closed_form(args):
     config = _resolve_config(args)
-    q = _require(config.q, "--q")
+    q = _capped(_require(config.q, "--q"), MAX_CLOSED_FORM_Q, "q")
     family, params = _detect_family(config.moves)
     if family == "orthogonal":
         value = closed_form_orthogonal(params["m"], q)
@@ -449,8 +471,7 @@ def _cmd_closed_form(args):
 
 def _cmd_count(args):
     config = _resolve_config(args)
-    q = _require(config.q, "--q")
-    n_max = _require(config.n_max, "--n-max")
+    q, n_max = _counting_sizes(config)
     series = count_series(config.moves, q, n_max)
     rows = ["n,count"]
     rows.extend(f"{n},{v}" for n, v in enumerate(series.values))
@@ -460,8 +481,7 @@ def _cmd_count(args):
 
 def _cmd_period(args):
     config = _resolve_config(args)
-    q = _require(config.q, "--q")
-    n_max = _require(config.n_max, "--n-max")
+    q, n_max = _counting_sizes(config)
     series = count_series(config.moves, q, n_max)
     degree = args.degree if args.degree is not None else 2 * q
     period = args.period
@@ -493,8 +513,8 @@ def _cmd_period(args):
 
 def _cmd_conjecture(args):
     config = _resolve_config(args)
-    q = _search_length(_require(config.q, "--q"), "q")
-    n_max = _require(config.n_max, "--n-max")
+    _capped(_require(config.q, "--q"), MAX_CYCLE_LENGTH, "q")
+    q, n_max = _counting_sizes(config)
     report = conjecture_report(config.moves, q, n_max)
     payload = {
         "q": report.q,
@@ -509,16 +529,20 @@ def _cmd_conjecture(args):
 
 def _cmd_render(args):
     config = _resolve_config(args)
-    q = _search_length(config.q if config.q is not None else 4, "q")
+    q = 4 if config.q is None else config.q
+    q = _capped(q, MAX_CYCLE_LENGTH, "q")
     paths = []
     for trajectory in corner_trajectories(
         config.board, config.moves, max_points=q
     ):
         if len(trajectory.points) >= 2:
             paths.append(_render_path(trajectory))
-    for t in enumerate_rigid_cycles(config.board, config.moves, max(q, 4)):
-        paths.append(_render_path(t, highlight=True))
     report = denominator(config.board, config.moves, q)
+    # the picture highlights the rigid cycles of length 4 even at q < 4
+    cycles = report.rigid_cycles if q >= 4 else enumerate_rigid_cycles(
+        config.board, config.moves, 4
+    )
+    paths.extend(_render_path(t, highlight=True) for t in cycles)
     markers = []
     seen = set()
     for c in report.contributions:

@@ -35,6 +35,7 @@ from .geometry import (
 from .dynamics import (
     TrajectoryStatus,
     augment,
+    partition_into_trajectories,
     trace,
 )
 from .arrangement import (
@@ -43,7 +44,6 @@ from .arrangement import (
     arrangement_of,
     classify_cycle,
     enumerate_rigid_cycles,
-    partition_into_trajectories,
     solve_square_system,
 )
 
@@ -73,6 +73,7 @@ class DenominatorReport:
     q: int
     value: int
     contributions: tuple
+    rigid_cycles: tuple  # the rigid cycles of length at most q
 
 
 def _segment_crossing(p1, p2, q1, q2):
@@ -210,12 +211,14 @@ def denominator(board, moves, q):
         contributions[(category, point)] = point_denominator(point)
 
     flows = []
+    cycles = ()
     if q >= 1:
         for flow, points in _corner_flows(board, moves, q):
             flows.append(flow)
             for p in points:
                 add("corner-trajectory-point", p)
-        for traj in enumerate_rigid_cycles(board, moves, q):
+        cycles = tuple(enumerate_rigid_cycles(board, moves, q))
+        for traj in cycles:
             flows.append(_cycle_flow(traj, anchored=False))
             for p in traj.points:
                 add("rigid-cycle-point", p)
@@ -248,7 +251,7 @@ def denominator(board, moves, q):
         Contribution(cat, pt, den)
         for (cat, pt), den in sorted(contributions.items())
     )
-    return DenominatorReport(q, value, report)
+    return DenominatorReport(q, value, report, cycles)
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,17 @@ class TrajectoryStatus(enum.Enum):
     TRUNCATED = "truncated"
 
 
+# The status of a non-cyclic window from whether its (backward, forward)
+# ends continue; _OPEN_ENDS gives the open ends of a status.
+_END_STATUS = {
+    (False, False): TrajectoryStatus.STOPPED_BOTH_ENDS,
+    (True, False): TrajectoryStatus.STOPPED_FORWARD,
+    (False, True): TrajectoryStatus.STOPPED_BACKWARD,
+    (True, True): TrajectoryStatus.TRUNCATED,
+}
+_OPEN_ENDS = {status: ends for ends, status in _END_STATUS.items()}
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """A window of distinct particle positions, in step order.
@@ -190,19 +201,8 @@ def trace(board, moves, start, first_move_type, max_points=10_000):
         status = TrajectoryStatus.CYCLIC
     else:
         backward_move = moves[other(first_move_type) - 1]
-        backward_stopped = _step(board, backward_move, *origin) is None
-        if forward_stopped:
-            status = (
-                TrajectoryStatus.STOPPED_BOTH_ENDS
-                if backward_stopped
-                else TrajectoryStatus.STOPPED_FORWARD
-            )
-        else:
-            status = (
-                TrajectoryStatus.STOPPED_BACKWARD
-                if backward_stopped
-                else TrajectoryStatus.TRUNCATED
-            )
+        backward_open = _step(board, backward_move, *origin) is not None
+        status = _END_STATUS[(backward_open, not forward_stopped)]
     return Trajectory(tuple(points), first_move_type, status)
 
 
@@ -257,11 +257,8 @@ def augment(board, moves, trajectory):
         return AugmentedTrajectory(
             tuple(pts + [pts[0]]), (0, len(pts) - 1), first, cyclic=True
         )
-    prepended = False
-    if trajectory.status in (
-        TrajectoryStatus.STOPPED_FORWARD,
-        TrajectoryStatus.TRUNCATED,
-    ):
+    backward_open, forward_open = _OPEN_ENDS[trajectory.status]
+    if backward_open:
         # the backward end continues: step with the other move type
         before = antipode(board, moves[other(first) - 1], pts[0])
         if before == pts[0]:
@@ -270,11 +267,7 @@ def augment(board, moves, trajectory):
                 f"but the antipode at {pts[0]} is the identity"
             )
         pts.insert(0, before)
-        prepended = True
-    if trajectory.status in (
-        TrajectoryStatus.STOPPED_BACKWARD,
-        TrajectoryStatus.TRUNCATED,
-    ):
+    if forward_open:
         end_type = trajectory.move_type_at(len(trajectory.points) - 1)
         after = antipode(board, moves[end_type - 1], pts[-1])
         if after == pts[-1]:
@@ -283,10 +276,76 @@ def augment(board, moves, trajectory):
                 f"but the antipode at {pts[-1]} is the identity"
             )
         pts.append(after)
-    core_lo = 1 if prepended else 0
+    core_lo = 1 if backward_open else 0
     core_hi = core_lo + len(trajectory.points) - 1
-    first_segment = other(first) if prepended else first
+    first_segment = other(first) if backward_open else first
     return AugmentedTrajectory(tuple(pts), (core_lo, core_hi), first_segment)
+
+
+def partition_into_trajectories(board, moves, points):
+    """Split a finite set of boundary points into maximal trajectories.
+
+    Two points are linked when one is the other's antipode under either
+    move; each point has at most one link per move type, so components
+    are alternating paths or cycles.  A cycle starts at its smallest
+    point with move type 1; a path starts at the smaller of its two
+    (end, leaving type) pairs.  An end is stopped when the antipode
+    there is the identity and open when it leaves the given set.
+    Components come in the order of their smallest points.
+    """
+
+    points = sorted(
+        {p if isinstance(p, Point2) else Point2(*p) for p in points}
+    )
+    pool = set(points)
+    image = {
+        (p, r): antipode(board, moves[r - 1], p) for p in points for r in (1, 2)
+    }
+
+    def walk(p, r):
+        """Points linked after p leaving with type r, the type the last
+        point leaves with, and whether the walk closed onto p."""
+        seq = []
+        cur = p
+        while True:
+            nxt = image[(cur, r)]
+            if nxt == cur or nxt not in pool:
+                return seq, r, False
+            if nxt == p:
+                return seq, r, True
+            if len(seq) == len(pool):
+                raise InternalInvariantError("alternating walk does not close")
+            seq.append(nxt)
+            cur = nxt
+            r = other(r)
+
+    done = set()
+    out = []
+    for start in points:
+        if start in done:
+            continue
+        # start is the smallest point of its component
+        ahead, last, closed = walk(start, 1)
+        if closed:
+            traj = Trajectory((start, *ahead), 1, TrajectoryStatus.CYCLIC)
+        else:
+            # a walk's last point is a path end, entered by the other type
+            behind, back, _ = walk(start, 2)
+            first, first_type = min(
+                ((start, *ahead)[-1], other(last)),
+                ((start, *behind)[-1], other(back)),
+            )
+            seq, last, _ = walk(first, first_type)
+            seq = (first, *seq)
+            # an end is open when its antipode leaves the set
+            status = _END_STATUS[(
+                image[(first, other(first_type))] not in pool,
+                image[(seq[-1], last)] not in pool,
+            )]
+            traj = Trajectory(seq, first_type, status)
+        done.update(traj.points)
+        out.append(traj)
+    return out
 
 
 def format_trajectory(trajectory):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
@@ -75,16 +76,22 @@ _digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
 _set_digit_limit = getattr(sys, "set_int_max_str_digits", lambda digits: 0)
 
 
-def format_point(point):
-    """'x,y' in exact form.  CPython's int-to-str digit limit (4,300
-    digits) is lifted only while the point formats; it still guards
-    the parsing of input."""
+@contextmanager
+def _unlimited_digits():
+    """Lift CPython's int-to-str digit limit (4,300 digits) while output
+    formats; it still guards the parsing of input."""
     limit = _digit_limit()
     _set_digit_limit(0)
     try:
-        return f"{point.x},{point.y}"
+        yield
     finally:
         _set_digit_limit(limit)
+
+
+def format_point(point):
+    """'x,y' in exact form, however many digits."""
+    with _unlimited_digits():
+        return f"{point.x},{point.y}"
 
 
 def _homogeneous(point):

@@ -7,17 +7,24 @@ from pathlib import Path
 
 import pytest
 
+import riderflow.cli
 from riderflow import (
     Board,
     Point2,
     canonical_move,
+    closed_form_orthogonal,
+    enumerate_rigid_cycles,
     parse_point,
     parse_trajectory,
     point_denominator,
     trace,
 )
 from riderflow.cli import (
+    MAX_CLOSED_FORM_Q,
     MAX_CYCLE_LENGTH,
+    MAX_FLOAT_STEPS,
+    MAX_N_MAX,
+    MAX_PIECES,
     ParallelMoves,
     ParseError,
     main,
@@ -464,3 +471,81 @@ def test_rigid_cycles_reject_a_negative_length(capsys):
         capsys, "rigid-cycles", "--moves", "2,1", "1,-2", "--max-len", "3"
     )
     assert code == 0 and json.loads(out)["count"] == 0
+
+
+def test_closed_form_prints_values_beyond_the_digit_limit(capsys):
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run_cli(
+        capsys, "closed-form", "--moves", "3,1", "1,-3", "--q", "9200"
+    )
+    assert (code, err) == (0, "")
+    assert sys.get_int_max_str_digits() == limit
+    value = closed_form_orthogonal(3, 9200)
+    assert value.bit_length() > 14_300  # 4,300+ digits
+    sys.set_int_max_str_digits(0)  # to parse the printed value back
+    try:
+        assert json.loads(out)["denominator"] == value
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+# (command, option, config field, value above its cap, other options)
+SIZE_CAPS = [
+    ("closed-form", "--q", "q", MAX_CLOSED_FORM_Q + 1, {}),
+    ("count", "--q", "q", MAX_PIECES + 1, {"n_max": 8}),
+    ("period", "--q", "q", MAX_PIECES + 1, {"n_max": 8}),
+    ("conjecture", "--q", "q", MAX_PIECES + 1, {"n_max": 8}),
+    ("count", "--n-max", "n_max", MAX_N_MAX + 1, {"q": 2}),
+    ("period", "--n-max", "n_max", MAX_N_MAX + 1, {"q": 2}),
+    ("conjecture", "--n-max", "n_max", MAX_N_MAX + 1, {"q": 2}),
+]
+
+
+@pytest.mark.parametrize("command, option, field, value, rest", SIZE_CAPS)
+def test_size_above_its_cap_is_rejected(
+    capsys, tmp_path, command, option, field, value, rest
+):
+    flags = [f"--{k.replace('_', '-')}={v}" for k, v in rest.items()]
+    code, out, err = run_cli(
+        capsys, command, "--moves", "3,1", "1,-3", *flags,
+        option, str(value),
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and str(value - 1) in err
+    cfg_file = tmp_path / "problem.json"
+    cfg_file.write_text(json.dumps(
+        {"moves": [[3, 1], [1, -3]], field: value, **rest}
+    ))
+    code, out, err = run_cli(capsys, command, "--config", str(cfg_file))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and str(value - 1) in err
+
+
+def test_float_sim_steps_above_the_cap_are_rejected(capsys):
+    code, out, err = run_cli(
+        capsys, "float-sim", "--slopes", "1/5", "-3", "--start", "3/5,0",
+        "--steps", str(MAX_FLOAT_STEPS + 1),
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and str(MAX_FLOAT_STEPS) in err
+
+
+@pytest.mark.parametrize("q, lengths", [(2, [2, 4]), (5, [5])])
+def test_render_searches_each_cycle_length_once(
+    capsys, monkeypatch, q, lengths
+):
+    searched = []
+
+    def spy(board, moves, max_length):
+        searched.append(max_length)
+        return enumerate_rigid_cycles(board, moves, max_length)
+
+    # the package's `denominator` attribute is the function, not the module
+    for module in (riderflow.cli, sys.modules["riderflow.denominator"]):
+        monkeypatch.setattr(module, "enumerate_rigid_cycles", spy)
+    code, out, _ = run_cli(
+        capsys, "render", "--moves", "2,1", "1,-2", "--q", str(q)
+    )
+    assert code == 0
+    assert 'stroke="#2ca02c"' in out  # the rigid 4-cycle is highlighted
+    assert searched == lengths
