@@ -73,16 +73,16 @@ MAX_STEPS = 10_000
 # at 16 and 35 s at 18 (Python 3.11, one core of a shared VM).
 MAX_CYCLE_LENGTH = 16
 
-# Caps of the counting commands, each timed alone on bishops: the flat
-# table grows like the Bell numbers (to n = 12: 5.3 s at q = 8, 28 s at
-# 9), and n_max costs 1.6 s at 200 and 14 s at 400 (q = 2).  More pieces
+# Counting caps, each timed alone on bishops on that host: the flat
+# table grows like the Bell numbers (to n = 12: 0.8 s at q = 7, 5.3 s at
+# 8), and n_max costs 1.6 s at 200 and 3.7 s at 300 (q = 2).  More pieces
 # than the board has cells count 0 at no cost and pass.  The product is
 # not capped: q = 7 to n = 36 took 39 s.
 MAX_PIECES = 8
 MAX_N_MAX = 200
 
 # closed-form's inclined form grows faster than q^2: its worst pair with
-# |c|, |d| <= 3 took 2.2 s at q = 10,000 and 4.7 s at 20,000.
+# |c|, |d| <= 3 took 2.2 s at q = 10,000 and 12.9 s at 20,000.
 MAX_CLOSED_FORM_Q = 10_000
 
 # float-sim holds and prints its path: per 100,000 steps 1.2 s, 4.7 MB

@@ -337,7 +337,7 @@ def partition_into_trajectories(board, moves, points):
             )
             seq, last, _ = walk(first, first_type)
             seq = (first, *seq)
-            # an end is open when its antipode leaves the set
+            # open ends leave the set; a stopped end's antipode is itself
             status = _END_STATUS[(
                 image[(first, other(first_type))] not in pool,
                 image[(seq[-1], last)] not in pool,
