@@ -12,10 +12,20 @@ share no code with the integer kernel in `riderflow.dynamics`.
 `rigid_cycles` is the rigid-cycle search over `Fraction` affine
 families, rooted with both first move types; it shares the bounce and
 rank code with `riderflow.arrangement` but none of the search.
+
+`crossing_points` and `vertex_certificates` treat trajectory segments
+as general closed segments: a crossing solves for both segment
+parameters and range-checks them before the interior test, and a piece
+lies on a segment when it is collinear with it and between its ends.
+`riderflow.denominator` works on the lines that carry the segments.
+
+`closed_form_inclined` folds the lcm over every corner-window point and
+crossing of the inclined family, one `rho` power each.
 """
 
 from fractions import Fraction
-from math import comb
+from itertools import combinations, product
+from math import comb, lcm
 
 from riderflow import (
     BoundaryLocation,
@@ -25,9 +35,14 @@ from riderflow import (
     Point2,
     Trajectory,
     TrajectoryStatus,
+    augment,
     classify_cycle,
+    inclined_crossing_point,
+    partition_into_trajectories,
+    point_denominator,
     trace,
 )
+from riderflow.denominator import _sorted_by_slope
 
 
 def _line_groups(move, n):
@@ -315,3 +330,98 @@ def rigid_cycles(board, moves, max_length):
                 descend([p0], start_edge, first_type, Fraction(0), Fraction(1),
                         start_edge, first_type)
     return sorted(found.values(), key=lambda tr: (len(tr.points), tr.points))
+
+
+def segment_crossing(p1, p2, q1, q2):
+    """Transversal intersection point of two closed segments, or None."""
+    d1x, d1y = p2.x - p1.x, p2.y - p1.y
+    d2x, d2y = q2.x - q1.x, q2.y - q1.y
+    det = d1x * d2y - d1y * d2x
+    if det == 0:
+        return None
+    rx, ry = q1.x - p1.x, q1.y - p1.y
+    s = (rx * d2y - ry * d2x) / det
+    t = (rx * d1y - ry * d1x) / det
+    if not (0 <= s <= 1 and 0 <= t <= 1):
+        return None
+    return Point2(p1.x + s * d1x, p1.y + s * d1y)
+
+
+def crossing_points(board, a, b=None):
+    """(point, i, j) per interior crossing of segment i of augmented
+    trajectory a and segment j of b; with b omitted, i < j within a."""
+    segs_a = a.segments()
+    if b is None:
+        segs_b = segs_a
+        indices = combinations(range(len(segs_a)), 2)
+    else:
+        segs_b = b.segments()
+        indices = product(range(len(segs_a)), range(len(segs_b)))
+    out = []
+    for i, j in indices:
+        (pa, qa, ta), (pb, qb, tb) = segs_a[i], segs_b[j]
+        if ta == tb:
+            continue
+        pt = segment_crossing(pa, qa, pb, qb)
+        if pt is not None and board.interior_contains(pt):
+            out.append((pt, i, j))
+    return out
+
+
+def on_segment(point, a, b):
+    abx, aby = b.x - a.x, b.y - a.y
+    apx, apy = point.x - a.x, point.y - a.y
+    if abx * apy - aby * apx != 0:
+        return False
+    if abx != 0:
+        t = apx / abx
+    else:
+        t = apy / aby
+    return 0 <= t <= 1
+
+
+def vertex_certificates(board, moves, pieces):
+    """(z, type-1 segment, type-2 segment) per interior piece z, in point
+    order: the first augmented component segment of each type through z,
+    or None where no segment passes through it."""
+    unique = sorted(set(pieces))
+    boundary = [
+        p for p in unique
+        if board.classify(p).kind is not LocationKind.INTERIOR
+    ]
+    segments = [
+        seg
+        for comp in partition_into_trajectories(board, moves, boundary)
+        for seg in augment(board, moves, comp).segments()
+    ]
+    out = []
+    for z in unique:
+        if z in boundary:
+            continue
+        witness = {1: None, 2: None}
+        for a, b, move_type in segments:
+            if witness[move_type] is None and on_segment(z, a, b):
+                witness[move_type] = (a, b, move_type)
+        out.append((z, witness[1], witness[2]))
+    return tuple(out)
+
+
+def closed_form_inclined(moves, q):
+    """The inclined family's denominator: the lcm over the corner window's
+    q points and its (q - 1) // 2 crossings, each computed alone."""
+    m1, m2 = _sorted_by_slope(moves)
+    rho = Fraction(m1.d * m2.c, m1.c * m2.d)
+    dens = [1]
+    for i in range(1, q + 1):
+        if i % 2 == 1:
+            pt = Point2(1, rho ** ((i - 1) // 2))
+        else:
+            k = i // 2 - 1
+            pt = Point2(
+                Fraction(m1.d, m1.c) * rho ** k,
+                Fraction(m2.c, m2.d) * rho ** k,
+            )
+        dens.append(point_denominator(pt))
+    for i in range(1, (q - 1) // 2 + 1):
+        dens.append(point_denominator(inclined_crossing_point(moves, i)))
+    return lcm(*dens)

@@ -1,4 +1,6 @@
+import hashlib
 from fractions import Fraction
+from itertools import combinations
 from math import lcm
 
 import pytest
@@ -23,6 +25,10 @@ from riderflow import (
     trace,
     vertex_oracle,
 )
+from riderflow.geometry import format_point
+
+import oracles
+from conftest import canonical_move_pairs, convex_boards, move_pairs
 
 F = Fraction
 INCLINED = (canonical_move(2, 1), canonical_move(1, 2))
@@ -270,3 +276,118 @@ def test_window_points_all_divide_denominator(cap, qval):
     report = denominator(board, ORTH, qval)
     for c in report.contributions:
         assert report.value % c.denominator == 0
+
+
+# -- chord crossings: pinned outputs and the segment oracle ----------------
+
+# a hexagon whose corner (2, -2) starts a 4-cycle for moves (1, -2), (3, -1)
+HEXAGON = [(-2, 1), (1, -2), (2, -2), (2, 0), (1, 1), (-1, 2)]
+PENTAGON = [(0, 0), (1, 0), (F(3, 2), 1), (F(1, 2), 2), (F(-1, 2), 1)]
+
+# sha256 over the scope of _chord_scope of the denominator reports for
+# q <= 5, the crossings of every pair of augmented corner windows, and
+# the vertex decompositions of _window_vertices, recorded while crossings
+# were still found by solving for two segment parameters
+CHORD_SHA256 = {
+    "denominator":
+        "a5d873867f8045b0f5ca236896e57ce27e3ca2b9abc7470212185ff64b41a3bb",
+    "crossing_points":
+        "497c5199bd0d044508612a25f0564f335760355fe6df37b44e8e2548d4d72a87",
+    "characterize_vertex":
+        "5c05201049e70a0fd316edee0cde9b4bc2a6ea54b55e39749b47661d0043955d",
+}
+
+
+def _chord_scope():
+    """The square, a pentagon and HEXAGON x the 28 move pairs with
+    |c|, |d| <= 2."""
+    for corners in ([(0, 0), (1, 0), (1, 1), (0, 1)], PENTAGON, HEXAGON):
+        board = Board.from_corners(corners)
+        for moves in canonical_move_pairs(2):
+            yield board, moves
+
+
+def _corner_windows(board, moves):
+    return [
+        trace(board, moves, corner, first, max_points=4)
+        for corner in board.corners
+        for first in (1, 2)
+    ]
+
+
+def _window_vertices(board, moves):
+    """Each corner window's points plus its first two self-crossings."""
+    for window in _corner_windows(board, moves):
+        crossings = crossing_points(board, augment(board, moves, window))
+        yield window.points + tuple(c.point for c in crossings[:2])
+
+
+def _crossing_rows(crossings):
+    return [(c.point, c.index_a, c.index_b) for c in crossings]
+
+
+def _text(points):
+    return " ".join(format_point(p) for p in points)
+
+
+def _segment_text(segment):
+    return _text(segment[:2]) + f" {segment[2]}"
+
+
+def test_chord_crossing_digest():
+    digests = {name: hashlib.sha256() for name in CHORD_SHA256}
+
+    def record(name, text):
+        digests[name].update(f"{text}\n".encode())
+
+    for board, moves in _chord_scope():
+        for q in range(1, 6):
+            report = denominator(board, moves, q)
+            record("denominator", f"{q} {report.value}")
+            for c in report.contributions:
+                record(
+                    "denominator",
+                    f"{c.category} {format_point(c.point)} {c.denominator}",
+                )
+        windows = [augment(board, moves, w) for w in _corner_windows(board, moves)]
+        pairs = [(a, None) for a in windows] + list(combinations(windows, 2))
+        for a, b in pairs:
+            for pt, i, j in _crossing_rows(crossing_points(board, a, b)):
+                record("crossing_points", f"{format_point(pt)} {i} {j}")
+            record("crossing_points", "")
+        for pieces in _window_vertices(board, moves):
+            v = characterize_vertex(board, moves, pieces)
+            record(
+                "characterize_vertex",
+                f"{v.vertex} {v.rank} {v.deficiency}",
+            )
+            for comp in v.corner_components + v.cycle_components:
+                record("characterize_vertex", _text(comp.points))
+            for z, seg1, seg2 in v.interior_certificates:
+                record(
+                    "characterize_vertex",
+                    f"{format_point(z)}: {_segment_text(seg1)}; "
+                    f"{_segment_text(seg2)}",
+                )
+    assert {n: d.hexdigest() for n, d in digests.items()} == CHORD_SHA256
+
+
+@given(convex_boards(), move_pairs())
+@settings(max_examples=40, deadline=None)
+def test_chord_crossings_match_the_segment_oracle(board, pair):
+    # the vertical move is the one whose segments have no x extent
+    vertical = canonical_move(0, 1)
+    partner = pair[1] if pair[0] == vertical else pair[0]
+    for moves in (pair, (vertical, partner)):
+        windows = [augment(board, moves, w) for w in _corner_windows(board, moves)]
+        for a in windows:
+            assert _crossing_rows(crossing_points(board, a)) \
+                == oracles.crossing_points(board, a)
+        for a, b in combinations(windows, 2):
+            assert _crossing_rows(crossing_points(board, a, b)) \
+                == oracles.crossing_points(board, a, b)
+        for pieces in _window_vertices(board, moves):
+            result = characterize_vertex(board, moves, pieces)
+            if result.vertex:
+                assert result.interior_certificates \
+                    == oracles.vertex_certificates(board, moves, pieces)
