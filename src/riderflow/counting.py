@@ -302,6 +302,8 @@ def count(moves, q, n):
     """Number of ways to place q mutually nonattacking riders."""
     if q < 0:
         raise ValueError(f"q must be nonnegative, got {q}")
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
     graph = _LineGraph(moves, n)
     if q > min(graph.lines(0), graph.lines(1)):
         return 0  # two of the pieces would share a line
@@ -322,6 +324,8 @@ def count(moves, q, n):
 
 
 def count_series(moves, q, n_max):
+    if n_max < 0:
+        raise ValueError(f"n_max must be nonnegative, got {n_max}")
     return CountSeries(
         tuple(moves), q, tuple(count(moves, q, n) for n in range(n_max + 1))
     )
@@ -386,6 +390,8 @@ def fit(series, period, degree=None):
         raise ValueError(f"period must be positive, got {period}")
     if degree is None:
         degree = 2 * series.q
+    if degree < 0:
+        raise ValueError(f"degree must be nonnegative, got {degree}")
     n_max = len(series.values) - 1
     needed = period * (degree + 2)
     if n_max < needed:
@@ -419,6 +425,8 @@ def minimal_period(series, degree=None):
 
     if degree is None:
         degree = 2 * series.q
+    if degree < 0:
+        raise ValueError(f"degree must be nonnegative, got {degree}")
     n_max = len(series.values) - 1
     period = 1
     while period * (degree + 2) <= n_max:

@@ -30,6 +30,7 @@ from .geometry import (
     InternalInvariantError,
     LocationKind,
     Point2,
+    line_through,
     point_denominator,
 )
 from .dynamics import (
@@ -76,34 +77,26 @@ class DenominatorReport:
     rigid_cycles: tuple  # the rigid cycles of length at most q
 
 
-def _segment_crossing(p1, p2, q1, q2):
-    """Transversal intersection point of two closed segments, or None."""
-    d1x, d1y = p2.x - p1.x, p2.y - p1.y
-    d2x, d2y = q2.x - q1.x, q2.y - q1.y
-    det = d1x * d2y - d1y * d2x
-    if det == 0:
-        return None
-    rx, ry = q1.x - p1.x, q1.y - p1.y
-    s = (rx * d2y - ry * d2x) / det
-    t = (rx * d1y - ry * d1x) / det
-    if not (0 <= s <= 1 and 0 <= t <= 1):
-        return None
-    return Point2(p1.x + s * d1x, p1.y + s * d1y)
+def _chords(segments):
+    """(a, b, k, move_type) per segment: a trajectory segment is a chord,
+    all of the line a·x + b·y = k that lies in the board."""
+    return tuple((*line_through(p, q), t) for p, q, t in segments)
 
 
 def _interior_crossings(board, pairs):
-    """(key, point) for each segment pair that crosses in the interior.
+    """(key, point) for each pair of chords that cross in the interior.
 
-    `pairs` yields (key, segment, segment) with segments as (start, end,
-    move_type).  Segments of equal move type are parallel and never
-    cross transversally; shared endpoints sit on the boundary and are
-    excluded by the interiority test.
+    `pairs` yields (key, chord, chord).  Chords of equal move type are
+    parallel; two of different types cross where their lines meet, if
+    that point is interior.  (`trace` stops on a move along an edge, so
+    no chord lies on an edge line: a chord without its ends is interior.)
     """
-    for key, (pa, qa, ta), (pb, qb, tb) in pairs:
-        if ta == tb:
+    for key, (a1, b1, k1, t1), (a2, b2, k2, t2) in pairs:
+        if t1 == t2:
             continue
-        pt = _segment_crossing(pa, qa, pb, qb)
-        if pt is not None and board.interior_contains(pt):
+        det = a1 * b2 - a2 * b1
+        pt = Point2((k1 * b2 - k2 * b1) / det, (a1 * k2 - a2 * k1) / det)
+        if board.interior_contains(pt):
             yield key, pt
 
 
@@ -113,14 +106,14 @@ def crossing_points(board, a, b=None):
     With b omitted, the self-crossings of a.
     """
 
-    segs_a = a.segments()
+    chords_a = _chords(a.segments())
     if b is None:
-        segs_b = segs_a
-        indices = combinations(range(len(segs_a)), 2)
+        chords_b = chords_a
+        indices = combinations(range(len(chords_a)), 2)
     else:
-        segs_b = b.segments()
-        indices = product(range(len(segs_a)), range(len(segs_b)))
-    pairs = (((i, j), segs_a[i], segs_b[j]) for i, j in indices)
+        chords_b = _chords(b.segments())
+        indices = product(range(len(chords_a)), range(len(chords_b)))
+    pairs = (((i, j), chords_a[i], chords_b[j]) for i, j in indices)
     return [
         CrossingPoint(pt, i, j)
         for (i, j), pt in _interior_crossings(board, pairs)
@@ -135,7 +128,7 @@ def _window_cost(indices):
 
 @dataclass(frozen=True)
 class _Flow:
-    """A maximal trajectory (or cycle) with the window costs of its segments.
+    """A maximal trajectory (or cycle): its chords and their window costs.
 
     A cost is the length of the shortest window of core points whose
     augmentation covers the given segments while still containing the
@@ -144,7 +137,7 @@ class _Flow:
     different move types together.
     """
 
-    segments: tuple  # of (start, end, move_type)
+    chords: tuple  # of (a, b, k, move_type), one per segment
     cost: tuple
     pair_cost: dict
 
@@ -167,9 +160,8 @@ def _flow(segments, positions, cap):
         for i, j in combinations(range(len(segments)), 2)
         if segments[i][2] != segments[j][2]
     }
-    return _Flow(
-        tuple(segments), tuple(cost(k) for k in range(len(segments))), pairs
-    )
+    costs = tuple(cost(k) for k in range(len(segments)))
+    return _Flow(_chords(segments), costs, pairs)
 
 
 def _cycle_flow(trajectory, anchored):
@@ -205,6 +197,9 @@ def denominator(board, moves, q):
     """Exact denominator report for q riders on the board."""
     if q < 0:
         raise ValueError(f"q must be nonnegative, got {q}")
+    m1, m2 = moves
+    if m1.c * m2.d == m1.d * m2.c:
+        raise ValueError("a denominator needs two nonparallel moves")
     contributions = {}
 
     def add(category, point):
@@ -225,9 +220,8 @@ def denominator(board, moves, q):
 
     budget = q - 1
     for flow in flows:
-        segs = flow.segments
         pairs = (
-            (None, segs[i], segs[j])
+            (None, flow.chords[i], flow.chords[j])
             for (i, j), cost in flow.pair_cost.items()
             if cost <= budget
         )
@@ -235,11 +229,11 @@ def denominator(board, moves, q):
             add("self-cross", pt)
     for fa, fb in combinations(flows, 2):
         pairs = (
-            (None, sa, sb)
-            for sa, cost_a in zip(fa.segments, fa.cost)
+            (None, ca, cb)
+            for ca, cost_a in zip(fa.chords, fa.cost)
             if cost_a < budget
-            for sb, cost_b in zip(fb.segments, fb.cost)
-            if sb[2] != sa[2] and cost_a + cost_b <= budget
+            for cb, cost_b in zip(fb.chords, fb.cost)
+            if cost_a + cost_b <= budget
         )
         for _, pt in _interior_crossings(board, pairs):
             add("cross", pt)
@@ -274,12 +268,24 @@ def _sorted_by_slope(moves):
     return m1, m2
 
 
+def _family_ends(n):
+    """The first and last index of each parity in 1..n."""
+    return {i for i in (1, 2, n - 1, n) if 1 <= i <= n}
+
+
 def closed_form_inclined(moves, q):
-    """Denominator for moves with slopes 0 < s1 < 1 < s2 on the square."""
+    """Denominator for moves with slopes 0 < s1 < 1 < s2 on the square.
+
+    The corner window's points and crossings form families c·rho^k, one
+    per index parity.  A prime's exponent in c·rho^k is linear in k, so
+    a family's lcm is the lcm of its first and last members.
+    """
+    if q < 0:
+        raise ValueError("q must be nonnegative")
     m1, m2 = _sorted_by_slope(moves)
     rho = Fraction(m1.d * m2.c, m1.c * m2.d)
-    dens = [1]
-    for i in range(1, q + 1):
+    dens = []
+    for i in _family_ends(q):
         if i % 2 == 1:
             pt = Point2(1, rho ** ((i - 1) // 2))
         else:
@@ -289,12 +295,9 @@ def closed_form_inclined(moves, q):
                 Fraction(m2.c, m2.d) * rho ** k,
             )
         dens.append(point_denominator(pt))
-    for i in range(1, (q - 1) // 2 + 1):
+    for i in _family_ends((q - 1) // 2):
         dens.append(point_denominator(inclined_crossing_point(moves, i)))
-    value = 1
-    for d in dens:
-        value = lcm(value, d)
-    return value
+    return lcm(*dens)
 
 
 def inclined_crossing_point(moves, index):
@@ -426,18 +429,6 @@ class VertexDecomposition:
     interior_certificates: tuple
 
 
-def _on_segment(point, a, b):
-    abx, aby = b.x - a.x, b.y - a.y
-    apx, apy = point.x - a.x, point.y - a.y
-    if abx * apy - aby * apx != 0:
-        return False
-    if abx != 0:
-        t = apx / abx
-    else:
-        t = apy / aby
-    return 0 <= t <= 1
-
-
 def characterize_vertex(board, moves, pieces):
     """Decompose a configuration if it is an arrangement vertex.
 
@@ -464,7 +455,7 @@ def characterize_vertex(board, moves, pieces):
     components = partition_into_trajectories(board, moves, boundary)
     corner_components = []
     cycle_components = []
-    aug_segments = []
+    aug_chords = []
     for comp in components:
         if comp.status is TrajectoryStatus.CYCLIC:
             verdict = classify_cycle(board, moves, comp)
@@ -482,14 +473,16 @@ def characterize_vertex(board, moves, pieces):
                     "path component of a vertex contains no corner"
                 )
             corner_components.append(comp)
-        aug_segments.extend(augment(board, moves, comp).segments())
+        segments = augment(board, moves, comp).segments()
+        aug_chords.extend(zip(segments, _chords(segments)))
 
     certificates = []
     for z in interior:
         witness = {1: None, 2: None}
-        for a, b, move_type in aug_segments:
-            if witness[move_type] is None and _on_segment(z, a, b):
-                witness[move_type] = (a, b, move_type)
+        # an interior point is on a chord when it is on the chord's line
+        for segment, (a, b, k, move_type) in aug_chords:
+            if witness[move_type] is None and a * z.x + b * z.y == k:
+                witness[move_type] = segment
         if witness[1] is None or witness[2] is None:
             raise InternalInvariantError(
                 f"interior piece {z} of a vertex lacks a crossing certificate"

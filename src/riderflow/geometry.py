@@ -160,12 +160,14 @@ def canonical_move(c, d):
     return Move(c, d)
 
 
-def _primitive_int_pair(x, y):
-    x, y = Fraction(x), Fraction(y)
-    scale = lcm(x.denominator, y.denominator)
-    a, b = int(x * scale), int(y * scale)
+def line_through(p, q):
+    """(a, b, k) with a·x + b·y = k the line through p != q, and (a, b)
+    its primitive integer normal pointing left of q - p."""
+    nx, ny = p.y - q.y, q.x - p.x
+    scale = lcm(nx.denominator, ny.denominator)
+    a, b = int(nx * scale), int(ny * scale)
     g = gcd(a, b)
-    return a // g, b // g
+    return a // g, b // g, (a * p.x + b * p.y) / g
 
 
 @dataclass(frozen=True)
@@ -255,10 +257,8 @@ class Board:
         edges = []
         for i in range(n):
             tail, head = corners[i], corners[(i + 1) % n]
-            ex, ey = head.x - tail.x, head.y - tail.y
-            normal = _primitive_int_pair(-ey, ex)  # inward for CCW winding
-            offset = normal[0] * tail.x + normal[1] * tail.y
-            edges.append(Edge(tail, head, normal, offset))
+            a, b, offset = line_through(tail, head)  # inward for CCW winding
+            edges.append(Edge(tail, head, (a, b), offset))
         return cls(corners, tuple(edges))
 
     @classmethod

@@ -549,3 +549,35 @@ def test_render_searches_each_cycle_length_once(
     assert code == 0
     assert 'stroke="#2ca02c"' in out  # the rigid 4-cycle is highlighted
     assert searched == lengths
+
+
+# each ran forever (at degree -2 every period is attemptable), accepted
+# period 1 at a negative degree, printed an empty table, exited 3 or
+# printed a closed form for a negative q
+HOSTILE_SIZES = [
+    ["period", "--moves", "2,1", "1,-2", "--q", "3", "--n-max", "12",
+     "--degree", "-2"],
+    ["period", "--moves", "2,1", "1,2", "--q", "3", "--n-max", "12",
+     "--degree", "-2"],
+    ["period", "--moves", "3,1", "1,-3", "--q", "3", "--n-max", "12",
+     "--degree", "-2"],
+    ["period", "--moves", "1,1", "1,-1", "--q", "2", "--n-max", "12",
+     "--degree", "-2"],
+    ["count", "--moves", "1,1", "1,-1", "--q", "2", "--n-max", "-3"],
+    ["period", "--moves", "1,1", "1,-1", "--q", "2", "--n-max", "-3"],
+    ["conjecture", "--moves", "1,1", "1,-1", "--q", "2", "--n-max", "-3"],
+    ["closed-form", "--moves", "2,1", "1,2", "--q", "-1"],
+]
+
+
+@pytest.mark.parametrize("argv", HOSTILE_SIZES)
+def test_hostile_size_exits_2(argv):
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "riderflow", *argv],
+        capture_output=True, text=True, timeout=20,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert (done.returncode, done.stdout) == (2, ""), done.stderr
+    assert done.stderr.startswith("error:")

@@ -235,3 +235,15 @@ def test_orthogonal_q3_period_equals_denominator():
 def test_conjecture_report_needs_data():
     with pytest.raises(InsufficientData):
         conjecture_report(BISHOP, 3, 6)
+
+
+def test_negative_sizes_are_rejected():
+    series = count_series(BISHOP, 2, 12)
+    with pytest.raises(ValueError):
+        count(BISHOP, 2, -1)
+    with pytest.raises(ValueError):
+        count_series(BISHOP, 2, -3)
+    with pytest.raises(ValueError):
+        fit(series, 1, -1)
+    with pytest.raises(ValueError):
+        minimal_period(series, -2)

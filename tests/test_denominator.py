@@ -1,7 +1,11 @@
 import hashlib
+import os
+import subprocess
+import sys
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import lcm
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +14,7 @@ from riderflow import (
     Board,
     Point2,
     SlopeConditionViolated,
+    TrajectoryStatus,
     arrangement_of,
     attractor_orbit,
     augment,
@@ -127,6 +132,42 @@ def test_denominator_trivial_cases(square):
     assert denominator(square, INCLINED, 1).value == 1
 
 
+def test_denominator_rejects_parallel_moves(square):
+    with pytest.raises(ValueError):
+        denominator(square, (canonical_move(2, 1), canonical_move(2, 1)), 3)
+
+
+# its corner (2, -2) starts a 4-cycle for moves (1, -2), (3, -1)
+HEXAGON = [(-2, 1), (1, -2), (2, -2), (2, 0), (1, 1), (-1, 2)]
+
+# boards with a corner whose trace closes a cycle (the corner-anchored
+# flow), the denominators for q = 1..6 and the corner
+ANCHORED_CYCLES = [
+    (
+        HEXAGON,
+        (canonical_move(1, -2), canonical_move(3, -1)),
+        Point2(2, -2),
+        [1, 12, 60, 60, 180, 360],
+    ),
+    # a 6-cycle from (2, -1/2)
+    (
+        [(-1, 2), (1, -2), (2, -2), (2, F(-1, 2)), (1, 2)],
+        BISHOP,
+        Point2(2, F(-1, 2)),
+        [2, 6, 84, 84, 84, 84],
+    ),
+]
+
+
+@pytest.mark.parametrize("corners, moves, corner, values", ANCHORED_CYCLES)
+def test_corner_cycle_flow(corners, moves, corner, values):
+    board = Board.from_corners(corners)
+    assert trace(board, moves, corner, 1).status is TrajectoryStatus.CYCLIC
+    assert [denominator(board, moves, q).value for q in range(1, 7)] \
+        == values
+    assert [vertex_oracle(board, moves, q) for q in (1, 2)] == values[:2]
+
+
 def test_denominator_pentagon_matches_oracle(pentagon):
     for moves in (BISHOP, ORTH):
         for q in (1, 2):
@@ -169,6 +210,39 @@ def test_closed_form_inclined_values(square):
         closed_form_inclined(
             (canonical_move(3, 1), canonical_move(2, 1)), 3
         )
+
+
+def test_closed_form_inclined_matches_the_per_index_oracle():
+    # all 9 inclined pairs with |c|, |d| <= 3, in both move orders
+    flat = [canonical_move(c, d) for c, d in ((2, 1), (3, 1), (3, 2))]
+    for m1 in flat:
+        for m2 in (canonical_move(m.d, m.c) for m in flat):
+            for moves in ((m1, m2), (m2, m1)):
+                for q in range(41):
+                    assert closed_form_inclined(moves, q) \
+                        == oracles.closed_form_inclined(moves, q)
+
+
+def test_closed_form_inclined_rejects_negative_q():
+    with pytest.raises(ValueError):
+        closed_form_inclined(INCLINED, -1)
+
+
+def test_closed_form_inclined_is_fast_at_large_q():
+    # the per-index lcm takes minutes at q = 100,000
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    code = (
+        "from riderflow import canonical_move as m, closed_form_inclined\n"
+        "print(closed_form_inclined((m(2, 3), m(3, 2)), 100_000) % 1000)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        timeout=20, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert done.returncode == 0, done.stderr
+    # 5·3^(q - 1) for this pair from q = 5 on
+    assert done.stdout == f"{5 * 3 ** 99_999 % 1000}\n"
 
 
 def test_inclined_crossing_point_lies_on_augmented_windows(square):
@@ -280,14 +354,11 @@ def test_window_points_all_divide_denominator(cap, qval):
 
 # -- chord crossings: pinned outputs and the segment oracle ----------------
 
-# a hexagon whose corner (2, -2) starts a 4-cycle for moves (1, -2), (3, -1)
-HEXAGON = [(-2, 1), (1, -2), (2, -2), (2, 0), (1, 1), (-1, 2)]
-PENTAGON = [(0, 0), (1, 0), (F(3, 2), 1), (F(1, 2), 2), (F(-1, 2), 1)]
-
-# sha256 over the scope of _chord_scope of the denominator reports for
-# q <= 5, the crossings of every pair of augmented corner windows, and
-# the vertex decompositions of _window_vertices, recorded while crossings
-# were still found by solving for two segment parameters
+# sha256 over the square, the pentagon and HEXAGON x the 28 move pairs
+# with |c|, |d| <= 2 of the denominator reports for q <= 5, the crossings
+# of every pair of augmented corner windows, and the vertex
+# decompositions of _window_vertices, recorded while crossings were
+# still found by solving for two segment parameters
 CHORD_SHA256 = {
     "denominator":
         "a5d873867f8045b0f5ca236896e57ce27e3ca2b9abc7470212185ff64b41a3bb",
@@ -298,21 +369,19 @@ CHORD_SHA256 = {
 }
 
 
-def _chord_scope():
-    """The square, a pentagon and HEXAGON x the 28 move pairs with
-    |c|, |d| <= 2."""
-    for corners in ([(0, 0), (1, 0), (1, 1), (0, 1)], PENTAGON, HEXAGON):
-        board = Board.from_corners(corners)
-        for moves in canonical_move_pairs(2):
-            yield board, moves
-
-
 def _corner_windows(board, moves):
     return [
         trace(board, moves, corner, first, max_points=4)
         for corner in board.corners
         for first in (1, 2)
     ]
+
+
+def _window_pairs(board, moves):
+    """Each augmented corner window alone, for its self-crossings, and
+    every two of them."""
+    windows = [augment(board, moves, w) for w in _corner_windows(board, moves)]
+    return [(a, None) for a in windows] + list(combinations(windows, 2))
 
 
 def _window_vertices(board, moves):
@@ -331,16 +400,17 @@ def _text(points):
 
 
 def _segment_text(segment):
-    return _text(segment[:2]) + f" {segment[2]}"
+    return f"{_text(segment[:2])} {segment[2]}"
 
 
-def test_chord_crossing_digest():
+def test_chord_crossing_digest(square, pentagon):
     digests = {name: hashlib.sha256() for name in CHORD_SHA256}
 
     def record(name, text):
         digests[name].update(f"{text}\n".encode())
 
-    for board, moves in _chord_scope():
+    boards = (square, pentagon, Board.from_corners(HEXAGON))
+    for board, moves in product(boards, canonical_move_pairs(2)):
         for q in range(1, 6):
             report = denominator(board, moves, q)
             record("denominator", f"{q} {report.value}")
@@ -349,18 +419,13 @@ def test_chord_crossing_digest():
                     "denominator",
                     f"{c.category} {format_point(c.point)} {c.denominator}",
                 )
-        windows = [augment(board, moves, w) for w in _corner_windows(board, moves)]
-        pairs = [(a, None) for a in windows] + list(combinations(windows, 2))
-        for a, b in pairs:
+        for a, b in _window_pairs(board, moves):
             for pt, i, j in _crossing_rows(crossing_points(board, a, b)):
                 record("crossing_points", f"{format_point(pt)} {i} {j}")
             record("crossing_points", "")
         for pieces in _window_vertices(board, moves):
             v = characterize_vertex(board, moves, pieces)
-            record(
-                "characterize_vertex",
-                f"{v.vertex} {v.rank} {v.deficiency}",
-            )
+            record("characterize_vertex", f"{v.vertex} {v.rank} {v.deficiency}")
             for comp in v.corner_components + v.cycle_components:
                 record("characterize_vertex", _text(comp.points))
             for z, seg1, seg2 in v.interior_certificates:
@@ -379,11 +444,7 @@ def test_chord_crossings_match_the_segment_oracle(board, pair):
     vertical = canonical_move(0, 1)
     partner = pair[1] if pair[0] == vertical else pair[0]
     for moves in (pair, (vertical, partner)):
-        windows = [augment(board, moves, w) for w in _corner_windows(board, moves)]
-        for a in windows:
-            assert _crossing_rows(crossing_points(board, a)) \
-                == oracles.crossing_points(board, a)
-        for a, b in combinations(windows, 2):
+        for a, b in _window_pairs(board, moves):
             assert _crossing_rows(crossing_points(board, a, b)) \
                 == oracles.crossing_points(board, a, b)
         for pieces in _window_vertices(board, moves):
