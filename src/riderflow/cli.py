@@ -73,13 +73,23 @@ MAX_STEPS = 10_000
 # at 16 and 35 s at 18 (Python 3.11, one core of a shared VM).
 MAX_CYCLE_LENGTH = 16
 
-# Counting caps, each timed alone on bishops on that host: the flat
-# table grows like the Bell numbers (to n = 12: 0.8 s at q = 7, 5.3 s at
-# 8), and n_max costs 1.6 s at 200 and 3.7 s at 300 (q = 2).  More pieces
-# than the board has cells count 0 at no cost and pass.  The product is
-# not capped: q = 7 to n = 36 took 39 s.
+# Counting caps, timed on the host above.  The flat table grows like the
+# Bell numbers (1.5 s to build at q = 8), and n_max costs 1.6 s at 200
+# for q = 2.  More pieces than the board has cells count 0 at no cost
+# and pass.  From q = 4 on, flats with cycles cost about n^3 per n or
+# more, so n_max has a cap per q: the largest n_max that the slowest of
+# six riders (bishops, (2,1)/(2,-1), (2,1)/(1,-2), (2,1)/(1,2),
+# (3,1)/(3,-1) and (3,1)/(1,-3)) counts to in about 10 s.
 MAX_PIECES = 8
 MAX_N_MAX = 200
+MAX_N_MAX_AT_Q = {4: 140, 5: 100, 6: 65, 7: 45, 8: 25}
+
+# Corners multiply the windows that the rigid-cycle search and the
+# crossing loop visit.  denominator at q = MAX_CYCLE_LENGTH with
+# (2,1)/(1,-2) and (2,1)/(1,2) on near-regular integer polygons took at
+# most 10.3 s up to 12 corners (a centrally symmetric 8-gon), 7 s on
+# most 16-gons but over 60 s on a centrally symmetric one, and 22 s at 20.
+MAX_CORNERS = 12
 
 # closed-form prints its value whole, with up to about q/2 digits; this
 # bounds that output: for moves (2, 3), (3, 2) at q = 10^6 the value took
@@ -120,6 +130,7 @@ def _board_from_value(value):
         value = value.get("corners")
     if not isinstance(value, list) or len(value) < 3:
         raise ParseError("board must be \"square\" or a corner list")
+    _capped(len(value), MAX_CORNERS, "the number of board corners")
     corners = [
         Point2(parse_rational(str(sx)), parse_rational(str(sy)))
         for sx, sy in value
@@ -250,6 +261,13 @@ def _capped(value, cap, name):
     return value
 
 
+def _square_only(config):
+    """The config of a command that counts or solves on the square alone."""
+    if config.board != Board.square():
+        raise ParseError("this command works on the square board only")
+    return config
+
+
 def _trace_points(config):
     """The max_points of a trace capped at config.max_steps steps."""
     return _capped(config.max_steps, MAX_STEPS, "max_steps") + 1
@@ -258,7 +276,10 @@ def _trace_points(config):
 def _counting_sizes(config):
     """The capped q and n_max of count, period and conjecture."""
     q = _require(config.q, "--q")
-    n_max = _capped(_require(config.n_max, "--n-max"), MAX_N_MAX, "n_max")
+    n_max = _capped(
+        _require(config.n_max, "--n-max"),
+        MAX_N_MAX_AT_Q.get(q, MAX_N_MAX), f"n_max at q = {q}",
+    )
     if q <= n_max * n_max:
         _capped(q, MAX_PIECES, "q")
     return q, n_max
@@ -446,7 +467,7 @@ def _detect_family(moves):
 
 
 def _cmd_closed_form(args):
-    config = _resolve_config(args)
+    config = _square_only(_resolve_config(args))
     q = _capped(_require(config.q, "--q"), MAX_CLOSED_FORM_Q, "q")
     family, params = _detect_family(config.moves)
     if family == "orthogonal":
@@ -471,7 +492,7 @@ def _cmd_closed_form(args):
 
 
 def _cmd_count(args):
-    config = _resolve_config(args)
+    config = _square_only(_resolve_config(args))
     q, n_max = _counting_sizes(config)
     series = count_series(config.moves, q, n_max)
     rows = ["n,count"]
@@ -481,7 +502,7 @@ def _cmd_count(args):
 
 
 def _cmd_period(args):
-    config = _resolve_config(args)
+    config = _square_only(_resolve_config(args))
     q, n_max = _counting_sizes(config)
     series = count_series(config.moves, q, n_max)
     degree = args.degree if args.degree is not None else 2 * q
@@ -513,7 +534,7 @@ def _cmd_period(args):
 
 
 def _cmd_conjecture(args):
-    config = _resolve_config(args)
+    config = _square_only(_resolve_config(args))
     _capped(_require(config.q, "--q"), MAX_CYCLE_LENGTH, "q")
     q, n_max = _counting_sizes(config)
     report = conjecture_report(config.moves, q, n_max)

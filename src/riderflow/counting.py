@@ -18,10 +18,11 @@ flat G(p1, p2) has the blocks of p1 as left vertices, the blocks of p2
 as right vertices and one edge per piece; pieces that share both lines
 share a cell, so parallel edges merge and distinct cells come for free.
 Dividing by q! gives unordered placements.  The weighted flat shapes
-depend on q alone and are built once per q; their hom counts are taken
-per board by passing messages over the cells.  The resulting integer
-sequences are fitted exactly — over Fraction, with every surplus sample
-validated — to candidate quasipolynomials of the expected degree 2q.
+depend on q alone and are built once per q; one routine, _peel, takes
+their hom counts per board by passing messages between lines, peeling
+leaves and opening each 2-core by pinning one vertex.  The resulting
+integer sequences are fitted exactly — over Fraction, with every
+surplus sample validated — to candidate quasipolynomials of degree 2q.
 """
 
 from __future__ import annotations
@@ -112,27 +113,34 @@ def _canonical(edges):
     return small, best
 
 
-def _shape(edges, classes):
-    """The flat's connected components, as a sorted tuple of classes.
-
-    classes memoizes _canonical by component edge set.
-    """
-    parent = {}  # union-find over left blocks a and right blocks ~b
+def _components(edges):
+    """The edge lists of a graph's connected components, by union-find."""
+    parent = {}
 
     def root(v):
         while v in parent:
             v = parent[v]
         return v
 
-    for a, b in edges:
-        ra, rb = root(a), root(~b)
-        if ra != rb:
-            parent[ra] = rb
-    components = {}
+    for s, t in edges:
+        rs, rt = root(s), root(t)
+        if rs != rt:
+            parent[rs] = rt
+    parts = {}
     for edge in edges:
-        components.setdefault(root(edge[0]), []).append(edge)
+        parts.setdefault(root(edge[0]), []).append(edge)
+    return list(parts.values())
+
+
+def _shape(edges, classes):
+    """The flat's connected components, as a sorted tuple of classes.
+
+    Edges are (a, ~b) for left block a and right block b, so the two
+    sides never share a vertex; classes memoizes _canonical by component
+    edge set.
+    """
     forms = []
-    for component in components.values():
+    for component in _components(edges):
         key = frozenset(component)
         if key not in classes:
             classes[key] = _canonical(key)
@@ -149,7 +157,7 @@ def _flat_table(q):
     it is paired with every move-2 partition.
     """
     seconds = [
-        (labels, _mobius(Counter(labels).values()))
+        ([~b for b in labels], _mobius(Counter(labels).values()))
         for labels in _set_partitions(q)
     ]
     table = {}
@@ -167,11 +175,13 @@ def _flat_table(q):
 
 
 def _edges(form):
+    """A flat class's edges, as pairs of vertices (side, block)."""
     small, masks = form
-    for j, mask in enumerate(masks):
-        for i in range(mask.bit_length()):
-            if mask >> i & 1:
-                yield (i, j) if small == 0 else (j, i)
+    return [
+        ((0, i), (1, j)) if small == 0 else ((0, j), (1, i))
+        for j, mask in enumerate(masks)
+        for i in range(mask.bit_length()) if mask >> i & 1
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -181,121 +191,101 @@ def _edges(form):
 class _LineGraph:
     """The n-by-n board with move lines as vertices and cells as edges.
 
-    keys[s][k] is the index of the move-(s+1) line through cell k, and
-    degrees[s][i] counts the cells on that side's line i; an index whose
-    line misses the board has degree 0.
+    Side 0 holds the move-1 lines, side 1 the move-2 lines.  across[s][i]
+    lists, one entry per cell, the other side's lines that meet line i of
+    side s, and degrees[s][i] is its length; an index whose line misses
+    the board has degree 0.
     """
 
     def __init__(self, moves, n):
         if len(moves) != 2 or moves[0].c * moves[1].d == moves[0].d * moves[1].c:
             raise ValueError("counting needs two nonparallel moves")
-        self.keys = []
-        self.degrees = []
+        lows = []
+        self.across = []
         for move in moves:
-            raw = [
-                x * move.d - y * move.c
-                for x in range(1, n + 1)
-                for y in range(1, n + 1)
-            ]
-            low = min(raw, default=0)
-            keys = [k - low for k in raw]
-            degrees = [0] * (max(keys, default=-1) + 1)
-            for k in keys:
-                degrees[k] += 1
-            self.keys.append(keys)
-            self.degrees.append(degrees)
-
-    def lines(self, side):
-        """Number of lines on one side that hold a cell."""
-        return sum(1 for d in self.degrees[side] if d)
+            # a line's key x*d - y*c is extreme at a corner of the board
+            ends = [x * move.d - y * move.c for x in (1, n) for y in (1, n)]
+            lows.append(min(ends))
+            self.across.append([[] for _ in range(max(ends) - min(ends) + 1)])
+        (c1, d1), (c2, d2) = ((move.c, move.d) for move in moves)
+        for x in range(1, n + 1):
+            for y in range(1, n + 1):
+                i, j = x * d1 - y * c1 - lows[0], x * d2 - y * c2 - lows[1]
+                self.across[0][i].append(j)
+                self.across[1][j].append(i)
+        self.degrees = [[len(js) for js in lines] for lines in self.across]
 
     def push(self, weights, side):
         """Sum line weights along the cells onto the other side's lines.
 
         None weighs every line 1; the returned list is never mutated.
+        Only lines of nonzero weight are walked.
         """
         if weights is None:
             return self.degrees[1 - side]
         out = [0] * len(self.degrees[1 - side])
-        for i, j in zip(self.keys[side], self.keys[1 - side]):
-            out[j] += weights[i]
+        for js, w in zip(self.across[side], weights):
+            if w:
+                for j in js:
+                    out[j] += w
         return out
 
-    def crossings(self, side):
-        """For each line of one side, the set of other-side lines it meets."""
-        sets = [set() for _ in self.degrees[side]]
-        for i, j in zip(self.keys[side], self.keys[1 - side]):
-            sets[i].add(j)
-        return sets
+
+def _times(weights, message):
+    if weights is None:
+        return message
+    return [x * y for x, y in zip(weights, message)]
 
 
-def _hom(form, graph):
-    """Homomorphisms of one connected flat into the line graph.
+def _peel(edges, weight, graph):
+    """Weighted homomorphisms of a connected flat into the line graph.
 
-    Leaves are peeled first, each folding its weights into its
-    neighbour's; a tree ends as one weighted vertex.  What remains of a
-    graph with a cycle is its 2-core, summed by _core_hom.
+    weight[v] weighs the lines vertex v may take; a missing or None
+    entry weighs each line 1.  Leaves are peeled first, each folding its
+    weights into its neighbour's; a tree ends as one weighted vertex.  A
+    2-core is opened at its vertex u of highest degree: once u sits on
+    line l, each edge (u, t) only asks t to cross l, so u splits into
+    one leaf pinned to l per edge, and peeling that leaf keeps t's
+    weights on the lines that cross l.  The rest is peeled again for
+    every l, its components multiplied.
     """
     adjacent = {}
-    for a, b in _edges(form):
-        adjacent.setdefault((0, a), set()).add((1, b))
-        adjacent.setdefault((1, b), set()).add((0, a))
-    weight = dict.fromkeys(adjacent)  # None: every line weighs 1
+    for s, t in edges:
+        adjacent.setdefault(s, set()).add(t)
+        adjacent.setdefault(t, set()).add(s)
+    weight = {v: weight.get(v) for v in adjacent}
     leaves = [v for v, vs in adjacent.items() if len(vs) == 1]
     while leaves and len(adjacent) > 1:
-        u = leaves.pop()
-        if len(adjacent.get(u, ())) != 1:
+        leaf = leaves.pop()
+        if len(adjacent.get(leaf, ())) != 1:
             continue
-        (v,) = adjacent.pop(u)
-        adjacent[v].discard(u)
-        message = graph.push(weight.pop(u), u[0])
-        weight[v] = (
-            message if weight[v] is None
-            else [x * y for x, y in zip(weight[v], message)]
-        )
+        (v,) = adjacent.pop(leaf)
+        adjacent[v].discard(leaf)
+        weight[v] = _times(weight[v], graph.push(weight.pop(leaf), leaf[0]))
         if len(adjacent[v]) == 1:
             leaves.append(v)
     if len(adjacent) == 1:
         (last,) = weight.values()
         return sum(last)
-    return _core_hom(adjacent, weight, graph)
-
-
-def _core_hom(adjacent, weight, graph):
-    """Sum over the line choices of the smaller side of a 2-core.
-
-    Each vertex of the other side meets at least two chosen lines; it
-    contributes the weighted count of its lines that cross all of them.
-    """
-    side = 0 if 2 * sum(v[0] == 0 for v in adjacent) <= len(adjacent) else 1
-    chosen = [v for v in adjacent if v[0] == side]
-    crossings = graph.crossings(side)
-
-    def choose(k, reach):
-        if k == len(chosen):
-            return prod(sum(r.values()) for r in reach.values())
-        u = chosen[k]
-        total = 0
-        for line, across in enumerate(crossings):
-            factor = 1 if weight[u] is None else weight[u][line]
-            if not factor or not across:
-                continue
-            narrowed = dict(reach)
-            for t in adjacent[u]:
-                if t in reach:
-                    kept = {m: x for m, x in reach[t].items() if m in across}
-                elif weight[t] is None:
-                    kept = dict.fromkeys(across, 1)
-                else:
-                    kept = {m: weight[t][m] for m in across if weight[t][m]}
-                if not kept:
-                    break
-                narrowed[t] = kept
-            else:
-                total += factor * choose(k + 1, narrowed)
-        return total
-
-    return choose(0, {})
+    u = max(adjacent, key=lambda v: len(adjacent[v]))
+    parts = _components([
+        e for e in edges if u not in e and adjacent.keys() >= set(e)
+    ])
+    lines = len(graph.degrees[u[0]])
+    total = 0
+    for line, term in enumerate(weight[u] or [1] * lines):
+        if not term:
+            continue
+        crossing = graph.push([k == line for k in range(lines)], u[0])
+        pinned = dict(weight)
+        for t in adjacent[u]:
+            pinned[t] = _times(weight[t], crossing)
+        for part in parts:
+            term *= _peel(part, pinned, graph)
+            if not term:
+                break
+        total += term
+    return total
 
 
 def count(moves, q, n):
@@ -305,14 +295,14 @@ def count(moves, q, n):
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     graph = _LineGraph(moves, n)
-    if q > min(graph.lines(0), graph.lines(1)):
+    if q > min(sum(map(bool, lines)) for lines in graph.degrees):
         return 0  # two of the pieces would share a line
     homs = {}
     total = 0
     for shape, weight in _flat_table(q):
         for form in shape:
             if form not in homs:
-                homs[form] = _hom(form, graph)
+                homs[form] = _peel(_edges(form), {}, graph)
             weight *= homs[form]
         total += weight
     placements, rest = divmod(total, factorial(q))

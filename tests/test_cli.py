@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -21,9 +22,11 @@ from riderflow import (
 )
 from riderflow.cli import (
     MAX_CLOSED_FORM_Q,
+    MAX_CORNERS,
     MAX_CYCLE_LENGTH,
     MAX_FLOAT_STEPS,
     MAX_N_MAX,
+    MAX_N_MAX_AT_Q,
     MAX_PIECES,
     ParallelMoves,
     ParseError,
@@ -498,6 +501,12 @@ SIZE_CAPS = [
     ("count", "--n-max", "n_max", MAX_N_MAX + 1, {"q": 2}),
     ("period", "--n-max", "n_max", MAX_N_MAX + 1, {"q": 2}),
     ("conjecture", "--n-max", "n_max", MAX_N_MAX + 1, {"q": 2}),
+    *(
+        ("count", "--n-max", "n_max", cap + 1, {"q": q})
+        for q, cap in sorted(MAX_N_MAX_AT_Q.items())
+    ),
+    ("period", "--n-max", "n_max", MAX_N_MAX_AT_Q[4] + 1, {"q": 4}),
+    ("conjecture", "--n-max", "n_max", MAX_N_MAX_AT_Q[4] + 1, {"q": 4}),
 ]
 
 
@@ -519,6 +528,84 @@ def test_size_above_its_cap_is_rejected(
     code, out, err = run_cli(capsys, command, "--config", str(cfg_file))
     assert (code, out) == (2, "")
     assert err.startswith("error:") and str(value - 1) in err
+
+
+@pytest.mark.parametrize(
+    "command", ["count", "period", "conjecture", "closed-form"]
+)
+@pytest.mark.parametrize("route", ["flag", "config"])
+def test_square_only_command_rejects_another_board(
+    capsys, tmp_path, command, route
+):
+    pentagon = [["0", "0"], ["1", "0"], ["3/2", "1"], ["1/2", "2"],
+                ["-1/2", "1"]]
+    square = [["0", "0"], ["1", "0"], ["1", "1"], ["0", "1"]]
+    fields = {"moves": [[1, 1], [1, -1]], "q": 2}
+    if command != "closed-form":
+        fields["n_max"] = 6
+    board_file = tmp_path / "board.json"
+    cfg_file = tmp_path / "problem.json"
+    # the unit square written as corners is the square and passes
+    for corners, rejected in ((pentagon, True), (square, False)):
+        if route == "flag":
+            board_file.write_text(json.dumps({"corners": corners}))
+            cfg_file.write_text(json.dumps(fields))
+            argv = ["--config", str(cfg_file), "--board", str(board_file)]
+        else:
+            cfg_file.write_text(
+                json.dumps({**fields, "board": {"corners": corners}})
+            )
+            argv = ["--config", str(cfg_file)]
+        code, out, err = run_cli(capsys, command, *argv)
+        if rejected:
+            assert (code, out) == (2, "")
+            assert err.startswith("error:") and "square" in err
+        else:
+            assert (code, err) == (0, "") and out
+
+
+def _regular_corners(k):
+    """k integer corners near a circle, strictly convex, counterclockwise."""
+    radius = k
+    while True:
+        corners = [
+            (round(radius * math.cos(2 * math.pi * i / k + 0.1)),
+             round(radius * math.sin(2 * math.pi * i / k + 0.1)))
+            for i in range(k)
+        ]
+        try:
+            Board.from_corners(corners)
+            return [[str(x), str(y)] for x, y in corners]
+        except ValueError:
+            radius *= 2
+
+
+@pytest.mark.parametrize("route", ["flag", "config", "float-sim"])
+def test_board_with_too_many_corners_is_rejected(capsys, tmp_path, route):
+    board_file = tmp_path / "board.json"
+    for k, ok in ((MAX_CORNERS, True), (MAX_CORNERS + 1, False)):
+        corners = _regular_corners(k)
+        board_file.write_text(json.dumps({"corners": corners}))
+        if route == "flag":
+            argv = ["denominator", "--moves", "2,1", "1,-2", "--q", "1",
+                    "--board", str(board_file)]
+        elif route == "config":
+            board_file.write_text(json.dumps(
+                {"moves": [[2, 1], [1, -2]], "q": 1,
+                 "board": {"corners": corners}}
+            ))
+            argv = ["denominator", "--config", str(board_file)]
+        else:
+            (x0, y0), (x1, y1) = corners[:2]
+            argv = ["float-sim", "--slopes", "1/2", "-2", "--start",
+                    f"{int(x0) + int(x1)}/2,{int(y0) + int(y1)}/2",
+                    "--steps", "3", "--board", str(board_file)]
+        code, out, err = run_cli(capsys, *argv)
+        if ok:
+            assert (code, err) == (0, "") and out
+        else:
+            assert (code, out) == (2, "")
+            assert err.startswith("error:") and str(MAX_CORNERS) in err
 
 
 def test_float_sim_steps_above_the_cap_are_rejected(capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -19,7 +20,7 @@ from riderflow import (
     minimal_period,
 )
 
-from conftest import move_pairs
+from conftest import canonical_move_pairs, move_pairs
 from oracles import attack_masks, backtrack_count, count_pairs_formula
 
 BISHOP = (canonical_move(1, 1), canonical_move(1, -1))
@@ -89,12 +90,63 @@ def test_pair_counts_match_the_closed_count(name):
 
 
 def test_rook_counts_match_the_closed_form():
-    # q rooks: choose q rows and q columns, then match them up; the flats
-    # at q >= 4 have cycles, so this checks the 2-core sum as well
+    # q rooks: choose q rows and q columns, then match them up; flats
+    # with cycles appear from q = 4, and at q = 8 a pinned vertex can be
+    # a cut vertex, so this checks opening 2-cores as well
     rook = (canonical_move(1, 0), canonical_move(0, 1))
-    for q in range(0, 7):
+    for q in range(0, 9):
         for n in range(0, 10):
             assert count(rook, q, n) == comb(n, q) ** 2 * factorial(q)
+
+
+# sha256 of count_series values, recorded before 2-cores were opened by
+# pinning a vertex: the 28 pairs with |c|, |d| <= 2 at q = 4 (n <= 12),
+# q = 5 (n <= 8) and q = 6 (n <= 6), then BISHOP and ORTH at q = 7 and
+# q = 8 (n <= 8).  From q = 4 on, some flats have cycles.
+COUNT_SERIES_SHA256 = (
+    "5d620291ab0ccaf021afa5a2348f04b337ed824c6037af8823e1678375938664"
+)
+
+
+@pytest.mark.slow
+def test_count_series_digest():
+    cases = [
+        (moves, q, n_max)
+        for q, n_max in ((4, 12), (5, 8), (6, 6))
+        for moves in canonical_move_pairs(2)
+    ]
+    cases += [(moves, q, 8) for q in (7, 8) for moves in (BISHOP, ORTH)]
+    digest = hashlib.sha256()
+    for moves, q, n_max in cases:
+        values = count_series(moves, q, n_max).values
+        digest.update(
+            f"{moves[0].c},{moves[0].d} {moves[1].c},{moves[1].d} "
+            f"q={q}: {values}\n".encode()
+        )
+    assert len(cases) == 88
+    assert digest.hexdigest() == COUNT_SERIES_SHA256
+
+
+def _run_counting(code, timeout):
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        timeout=timeout, env={**os.environ, "PYTHONPATH": path},
+    )
+
+
+@pytest.mark.slow
+def test_bishops_to_seven_pieces_count_in_seconds():
+    # most q = 7 flats have cycles; each is opened by pinning one
+    # vertex, so n = 36 takes seconds, not a minute
+    done = _run_counting(
+        "from riderflow import canonical_move as m, count_series\n"
+        "print(count_series((m(1, 1), m(1, -1)), 7, 36).values[8])\n",
+        timeout=15,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "14082528\n"  # backtrack_count(BISHOP, 7, 8)
 
 
 def test_count_needs_two_nonparallel_moves():
@@ -107,15 +159,10 @@ def test_count_needs_two_nonparallel_moves():
 def test_more_pieces_than_lines_count_zero_at_once():
     # BISHOP on the 3x3 board has 5 diagonals a side; 50 pieces cannot
     # all sit on different ones, and the q=50 flats must not be built
-    src = Path(__file__).resolve().parents[1] / "src"
-    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
-    code = (
+    done = _run_counting(
         "from riderflow import canonical_move as m, count\n"
-        "print(count((m(1, 1), m(1, -1)), 50, 3))\n"
-    )
-    done = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True,
-        timeout=20, env={**os.environ, "PYTHONPATH": path},
+        "print(count((m(1, 1), m(1, -1)), 50, 3))\n",
+        timeout=20,
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == "0\n"
