@@ -34,8 +34,6 @@ from .dynamics import (
 )
 from .arrangement import (
     CycleClassification,
-    Hyperplane,
-    HyperplaneSystem,
     NotCyclic,
     OutsideBoard,
     arrangement_of,

@@ -3,8 +3,9 @@
 A configuration of q pieces on the board lives in R^{2q} (coordinates
 x_1, y_1, ..., x_q, y_q).  The hyperplanes through it are the attack
 constraints cross(z_i - z_j, m_r) = 0 that currently hold and the edge
-fixations for every piece sitting on a boundary edge line.  The
-configuration is a vertex when these reach full rank 2q.
+fixations for every piece sitting on a boundary edge line, held as
+integer normals.  The configuration is a vertex when these reach full
+rank 2q.
 
 This module also classifies cyclical trajectories (rigid versus not, by
 the rank of their own configuration) and enumerates the rigid cycles of
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 
 from .geometry import (
@@ -33,30 +35,6 @@ class OutsideBoard(ValueError):
 
 class NotCyclic(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class Hyperplane:
-    """One constraint normal . w = offset on flattened configurations."""
-
-    normal: tuple
-    offset: Fraction
-    kind: str  # "attack" or "fixation"
-
-
-@dataclass(frozen=True)
-class HyperplaneSystem:
-    q: int
-    hyperplanes: tuple
-
-    def rank(self):
-        return matrix_rank([h.normal for h in self.hyperplanes])
-
-    def deficiency(self):
-        return 2 * self.q - self.rank()
-
-    def is_vertex(self):
-        return self.rank() == 2 * self.q
 
 
 def _eliminate(work, ncols, full_rank=False):
@@ -114,57 +92,40 @@ def solve_square_system(rows, rhs):
 
 def _attack_normal(dim, i, j, move):
     """Normal of cross(z_i - z_j, move) = 0 in R^dim."""
-    normal = [Fraction(0)] * dim
-    normal[2 * i] = Fraction(move.d)
-    normal[2 * i + 1] = Fraction(-move.c)
-    normal[2 * j] = Fraction(-move.d)
-    normal[2 * j + 1] = Fraction(move.c)
+    normal = [0] * dim
+    normal[2 * i:2 * i + 2] = move.d, -move.c
+    normal[2 * j:2 * j + 2] = -move.d, move.c
     return tuple(normal)
 
 
-def _fixation_normal(dim, i, edge):
-    """Normal of edge.normal . z_i = edge.offset in R^dim."""
-    normal = [Fraction(0)] * dim
-    normal[2 * i] = Fraction(edge.normal[0])
-    normal[2 * i + 1] = Fraction(edge.normal[1])
+def _fixation_normal(dim, i, row):
+    """Normal of the edge row (a, b, c), a·x_i + b·y_i = c, in R^dim."""
+    normal = [0] * dim
+    normal[2 * i:2 * i + 2] = row[:2]
     return tuple(normal)
 
 
 def arrangement_of(board, moves, pieces):
-    """All attack and fixation hyperplanes through a configuration."""
+    """Integer normals of the hyperplanes through a configuration: its
+    attacks, then each piece's edge fixations."""
     pieces = tuple(p if isinstance(p, Point2) else Point2(*p) for p in pieces)
-    q = len(pieces)
-    fixed = []  # per piece, the edges whose lines hold it
-    for z in pieces:
+    dim = 2 * len(pieces)
+    normals = [
+        _attack_normal(dim, i, j, move)
+        for (i, zi), (j, zj) in combinations(enumerate(pieces), 2)
+        for move in moves
+        if (zi.x - zj.x) * move.d == (zi.y - zj.y) * move.c
+    ]
+    for i, z in enumerate(pieces):
         loc, heights = board._locate(*_homogeneous(z))
         if loc.kind is LocationKind.OUTSIDE:
             raise OutsideBoard(f"piece at {z} is off the board")
-        fixed.append([e for e, h in zip(board.edges, heights) if h == 0])
-    dim = 2 * q
-    hyps = []
-    for i in range(q):
-        for j in range(i + 1, q):
-            dx = pieces[i].x - pieces[j].x
-            dy = pieces[i].y - pieces[j].y
-            for move in moves:
-                if dx * move.d - dy * move.c == 0:
-                    hyps.append(
-                        Hyperplane(
-                            _attack_normal(dim, i, j, move),
-                            Fraction(0),
-                            "attack",
-                        )
-                    )
-    for i, edges in enumerate(fixed):
-        for edge in edges:
-            hyps.append(
-                Hyperplane(
-                    _fixation_normal(dim, i, edge),
-                    Fraction(edge.offset),
-                    "fixation",
-                )
-            )
-    return HyperplaneSystem(q, tuple(hyps))
+        normals += [
+            _fixation_normal(dim, i, row)
+            for row, h in zip(board.rows, heights)
+            if h == 0
+        ]
+    return normals
 
 
 @dataclass(frozen=True)
@@ -178,8 +139,7 @@ def classify_cycle(board, moves, trajectory):
     """Rank test for a cyclical trajectory: full rank 2l means rigid."""
     if trajectory.status is not TrajectoryStatus.CYCLIC:
         raise NotCyclic(f"trajectory status is {trajectory.status.value}")
-    system = arrangement_of(board, moves, trajectory.points)
-    r = system.rank()
+    r = matrix_rank(arrangement_of(board, moves, trajectory.points))
     l = len(trajectory.points)
     return CycleClassification(l, r, r == 2 * l)
 

@@ -67,6 +67,10 @@ class ParallelMoves(ValueError):
 # the square of the steps when denominators grow with every step.
 MAX_STEPS = 10_000
 
+# corner-trajectories traces two trajectories from each corner; all their
+# points together are capped at what the square's take at MAX_STEPS.
+MAX_CORNER_POINTS = 2 * 4 * (MAX_STEPS + 1)
+
 # Longest rigid cycle that rigid-cycles, denominator, conjecture and
 # render search for.  The search grows 3-5x per two lengths: its worst
 # case over the square and a pentagon with moves |c|, |d| <= 3 took 8 s
@@ -391,8 +395,11 @@ def _cmd_float_sim(args):
 
 def _cmd_corner_trajectories(args):
     config = _resolve_config(args, max_steps=128)
+    max_points = _trace_points(config)
+    _capped(2 * len(config.board.corners) * max_points, MAX_CORNER_POINTS,
+            "2 * corners * (max_steps + 1)")
     trajectories = corner_trajectories(
-        config.board, config.moves, max_points=_trace_points(config)
+        config.board, config.moves, max_points=max_points
     )
     payload = {
         "board_corners": len(config.board.corners),
@@ -584,7 +591,7 @@ def _cmd_render(args):
 # Parser wiring.
 
 
-def _add_common(sub, *, q=False, n_max=False, start=False):
+def _add_common(sub, *, decimal=False, q=False, n_max=False, start=False):
     sub.add_argument("--config", help="JSON problem config file")
     sub.add_argument(
         "--moves",
@@ -597,11 +604,12 @@ def _add_common(sub, *, q=False, n_max=False, start=False):
         help='"square" (default) or a JSON file with a corner list',
     )
     sub.add_argument("--out", help="output file (default: stdout)")
-    sub.add_argument(
-        "--decimal",
-        action="store_true",
-        help="add approximate decimal coordinates to JSON output",
-    )
+    if decimal:
+        sub.add_argument(
+            "--decimal",
+            action="store_true",
+            help="add approximate decimal coordinates to JSON output",
+        )
     if q:
         sub.add_argument("--q", type=int, help="number of pieces")
     if n_max:
@@ -631,7 +639,7 @@ def build_parser():
     commands = parser.add_subparsers(dest="command", required=True)
 
     sub = commands.add_parser("simulate", help="exact boundary trace")
-    _add_common(sub, start=True)
+    _add_common(sub, decimal=True, start=True)
     sub.add_argument(
         "--format", choices=("text", "json", "svg"), default="text"
     )
@@ -663,7 +671,7 @@ def build_parser():
     sub = commands.add_parser(
         "corner-trajectories", help="trajectories through each corner"
     )
-    _add_common(sub)
+    _add_common(sub, decimal=True)
     sub.add_argument(
         "--max-steps", type=int, dest="max_steps",
         help="step cap per trajectory (default 128)",
@@ -673,7 +681,7 @@ def build_parser():
     sub = commands.add_parser(
         "rigid-cycles", help="enumerate rigid cycles"
     )
-    _add_common(sub)
+    _add_common(sub, decimal=True)
     sub.add_argument(
         "--max-len", type=int, default=8, dest="max_len",
         help="largest cycle length searched",
@@ -683,7 +691,7 @@ def build_parser():
     sub = commands.add_parser(
         "denominator", help="denominator of the q-piece system"
     )
-    _add_common(sub, q=True)
+    _add_common(sub, decimal=True, q=True)
     sub.set_defaults(func=_cmd_denominator)
 
     sub = commands.add_parser(

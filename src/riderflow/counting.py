@@ -330,7 +330,6 @@ class QuasipolynomialFit:
     degree: int
     period: int
     constituents: tuple  # per residue class: Fraction coeffs, ascending
-    verified_range: tuple
 
 
 def _newton_fit(xs, ys):
@@ -399,7 +398,7 @@ def fit(series, period, degree=None):
             if _eval_poly(coeffs, n) != series.values[n]:
                 return None
         constituents.append(tuple(coeffs))
-    return QuasipolynomialFit(degree, period, tuple(constituents), (1, n_max))
+    return QuasipolynomialFit(degree, period, tuple(constituents))
 
 
 def evaluate_fit(fitted, n):

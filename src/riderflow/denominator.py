@@ -45,6 +45,7 @@ from .arrangement import (
     arrangement_of,
     classify_cycle,
     enumerate_rigid_cycles,
+    matrix_rank,
     solve_square_system,
 )
 
@@ -393,13 +394,15 @@ def vertex_oracle(board, moves, q):
     if q <= 0:
         return 1
     dim = 2 * q
+    # an edge row (a, b, c) is its line scaled by an integer, which
+    # leaves every solution as it is
     rows = [
-        (_fixation_normal(dim, i, edge), Fraction(edge.offset))
+        (_fixation_normal(dim, i, row), row[2])
         for i in range(q)
-        for edge in board.edges
+        for row in board.rows
     ]
     rows += [
-        (_attack_normal(dim, i, j, move), Fraction(0))
+        (_attack_normal(dim, i, j, move), 0)
         for i, j in combinations(range(q), 2)
         for move in moves
     ]
@@ -440,8 +443,7 @@ def characterize_vertex(board, moves, pieces):
     """
 
     pieces = tuple(p if isinstance(p, Point2) else Point2(*p) for p in pieces)
-    system = arrangement_of(board, moves, pieces)
-    rank = system.rank()
+    rank = matrix_rank(arrangement_of(board, moves, pieces))
     q = len(pieces)
     if rank < 2 * q:
         return VertexDecomposition(False, rank, 2 * q - rank, (), (), ())

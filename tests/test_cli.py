@@ -22,6 +22,7 @@ from riderflow import (
 )
 from riderflow.cli import (
     MAX_CLOSED_FORM_Q,
+    MAX_CORNER_POINTS,
     MAX_CORNERS,
     MAX_CYCLE_LENGTH,
     MAX_FLOAT_STEPS,
@@ -436,6 +437,38 @@ def test_step_cap_above_the_limit_in_config_is_rejected(
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "10000" in err
+
+
+@pytest.mark.parametrize("route", ["flag", "config"])
+def test_corner_points_above_the_cap_are_rejected(
+    capsys, tmp_path, pentagon, route
+):
+    # two traces from each of 5 corners: 7,999 steps is the most that
+    # fits, so 8,000 is refused before anything is traced
+    steps = 8000
+    assert 10 * steps <= MAX_CORNER_POINTS < 10 * (steps + 1)
+    corners = [[str(c.x), str(c.y)] for c in pentagon.corners]
+    cfg_file = tmp_path / "problem.json"
+    fields = {"moves": [[2, 1], [1, 2]], "board": {"corners": corners}}
+    if route == "flag":
+        cfg_file.write_text(json.dumps(fields))
+        argv = ["--config", str(cfg_file), "--max-steps", str(steps)]
+    else:
+        cfg_file.write_text(json.dumps({**fields, "max_steps": steps}))
+        argv = ["--config", str(cfg_file)]
+    code, out, err = run_cli(capsys, "corner-trajectories", *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and str(MAX_CORNER_POINTS) in err
+
+
+@pytest.mark.parametrize(
+    "command", ["closed-form", "count", "period", "conjecture", "render"]
+)
+def test_decimal_is_refused_where_no_points_are_printed(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--moves", "1,1", "1,-1", "--q", "2", "--decimal"])
+    assert exc.value.code == 2
+    assert "--decimal" in capsys.readouterr().err
 
 
 @pytest.mark.slow

@@ -26,6 +26,7 @@ from riderflow import (
     crossing_points,
     denominator,
     inclined_crossing_point,
+    matrix_rank,
     parse_trajectory,
     trace,
     vertex_oracle,
@@ -173,6 +174,19 @@ def test_denominator_pentagon_matches_oracle(pentagon):
         for q in (1, 2):
             assert denominator(pentagon, moves, q).value \
                 == vertex_oracle(pentagon, moves, q)
+
+
+@given(convex_boards(), move_pairs())
+@settings(max_examples=60, deadline=None)
+def test_denominator_matches_the_vertex_oracle(board, pair):
+    # boards whose edge rows carry a scale above 1 build the oracle's
+    # fixation rows from scaled lines
+    vertical = canonical_move(0, 1)
+    partner = pair[1] if pair[0] == vertical else pair[0]
+    for moves in (pair, (vertical, partner)):
+        for q in (1, 2):
+            assert denominator(board, moves, q).value \
+                == vertex_oracle(board, moves, q)
 
 
 # -- closed forms -----------------------------------------------------------
@@ -333,7 +347,7 @@ def test_orthogonal_odd_m_vertex_with_denominator_40(square):
         Point2(0, 0),
         crossing,
     )
-    assert arrangement_of(square, moves, pieces).rank() == 12
+    assert matrix_rank(arrangement_of(square, moves, pieces)) == 12
     result = characterize_vertex(square, moves, pieces)
     assert result.vertex
     assert len(result.corner_components) == 1
