@@ -36,14 +36,6 @@ def path_of(trajectory, **kwargs):
     )
 
 
-def aug_path(aug, **kwargs):
-    return RenderPath(
-        tuple((p.x, p.y) for p in aug.points),
-        first_segment_type=aug.first_segment_type,
-        **kwargs,
-    )
-
-
 def crossing_markers(board, a, b=None, labels=("C1", "C2", "C3")):
     seen = []
     for c in crossing_points(board, a, b):
@@ -63,7 +55,7 @@ def scene_crossings(board):
     wb = augment(board, moves, trace(board, moves, Point2(1, F(1, 4)), 1,
                                      max_points=4))
     return RenderSpec(
-        paths=(aug_path(wa), aug_path(wb)),
+        paths=(path_of(wa), path_of(wb)),
         markers=crossing_markers(board, wa, wb),
     )
 
@@ -74,7 +66,7 @@ def scene_self_crossing(board):
         board, moves, trace(board, moves, Point2(0, 0), 1, max_points=5)
     )
     return RenderSpec(
-        paths=(aug_path(window),),
+        paths=(path_of(window),),
         markers=crossing_markers(board, window, labels=("X",)),
     )
 

@@ -19,7 +19,6 @@ from .geometry import (
     point_denominator,
 )
 from .dynamics import (
-    AugmentedTrajectory,
     NotOnBoundary,
     Trajectory,
     TrajectoryStatus,

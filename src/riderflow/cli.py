@@ -274,6 +274,10 @@ def _square_only(config):
 
 def _trace_points(config):
     """The max_points of a trace capped at config.max_steps steps."""
+    if config.max_steps < 0:
+        raise ParseError(
+            f"max_steps must be at least 0, got {config.max_steps}"
+        )
     return _capped(config.max_steps, MAX_STEPS, "max_steps") + 1
 
 
@@ -296,10 +300,13 @@ def _require(value, name):
 
 
 def _emit(text, out_path):
+    """Write text, or an iterable of text chunks, to out_path or stdout."""
+    chunks = [text] if isinstance(text, str) else text
     if out_path and out_path != "-":
-        Path(out_path).write_text(text)
+        with open(out_path, "w") as out:
+            out.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def _json_text(payload):
@@ -395,23 +402,30 @@ def _cmd_float_sim(args):
 
 def _cmd_corner_trajectories(args):
     config = _resolve_config(args, max_steps=128)
-    max_points = _trace_points(config)
-    _capped(2 * len(config.board.corners) * max_points, MAX_CORNER_POINTS,
+    board, max_points = config.board, _trace_points(config)
+    _capped(2 * len(board.corners) * max_points, MAX_CORNER_POINTS,
             "2 * corners * (max_steps + 1)")
-    trajectories = corner_trajectories(
-        config.board, config.moves, max_points=max_points
-    )
-    payload = {
-        "board_corners": len(config.board.corners),
-        "trajectories": [
-            {
-                "corner": _point_payload(t.points[0], args.decimal),
-                **_trajectory_payload(t, args.decimal),
-            }
-            for t in trajectories
-        ],
-    }
-    _emit(_json_text(payload), args.out)
+
+    def chunks():
+        # the text of json.dumps(payload, indent=2), one trajectory at a
+        # time, so that no more than one is held in memory
+        yield (f'{{\n  "board_corners": {len(board.corners)},\n'
+               '  "trajectories": [\n    ')
+        separator = ""
+        for corner in board.corners:
+            for move_type in (1, 2):
+                t = trace(board, config.moves, corner, move_type, max_points)
+                item = {
+                    "corner": _point_payload(corner, args.decimal),
+                    **_trajectory_payload(t, args.decimal),
+                }
+                yield separator + json.dumps(item, indent=2).replace(
+                    "\n", "\n    "
+                )
+                separator = ",\n    "
+        yield "\n  ]\n}\n"
+
+    _emit(chunks(), args.out)
     return 0
 
 

@@ -16,7 +16,7 @@ leave this module as `Point2`s with `Fraction` coordinates.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import gcd
 
 from .geometry import (
@@ -221,65 +221,35 @@ def corner_trajectories(board, moves, max_points=10_000):
     return out
 
 
-@dataclass(frozen=True)
-class AugmentedTrajectory:
-    """A trajectory window with one extra step glued onto each open end.
-
-    core_range marks where the original window sits inside `points`.
-    For a cyclic window the augmentation repeats points[0] at the end
-    instead, and `cyclic` is set.
-    """
-
-    points: tuple
-    core_range: tuple
-    first_segment_type: int
-    cyclic: bool = False
-
-    def segment_type(self, index):
-        return (
-            self.first_segment_type
-            if index % 2 == 0
-            else other(self.first_segment_type)
-        )
-
-    def segments(self):
-        return [
-            (self.points[i], self.points[i + 1], self.segment_type(i))
-            for i in range(len(self.points) - 1)
-        ]
-
-
 def augment(board, moves, trajectory):
-    """Extend a trajectory one antipode step past each open end."""
-    pts = list(trajectory.points)
-    first = trajectory.first_move_type
+    """The window traced again one antipode step past each open end; a
+    cyclic window comes back as is, as its segments close the loop."""
+
     if trajectory.status is TrajectoryStatus.CYCLIC:
-        return AugmentedTrajectory(
-            tuple(pts + [pts[0]]), (0, len(pts) - 1), first, cyclic=True
-        )
+        return trajectory
     backward_open, forward_open = _OPEN_ENDS[trajectory.status]
+    start, first = trajectory.points[0], trajectory.first_move_type
     if backward_open:
-        # the backward end continues: step with the other move type
-        before = antipode(board, moves[other(first) - 1], pts[0])
-        if before == pts[0]:
+        before = antipode(board, moves[other(first) - 1], start)
+        if before == start:
             raise InternalInvariantError(
                 f"status {trajectory.status} claims an open backward end "
-                f"but the antipode at {pts[0]} is the identity"
+                f"but the antipode at {start} is the identity"
             )
-        pts.insert(0, before)
-    if forward_open:
-        end_type = trajectory.move_type_at(len(trajectory.points) - 1)
-        after = antipode(board, moves[end_type - 1], pts[-1])
-        if after == pts[-1]:
-            raise InternalInvariantError(
-                f"status {trajectory.status} claims an open forward end "
-                f"but the antipode at {pts[-1]} is the identity"
-            )
-        pts.append(after)
-    core_lo = 1 if backward_open else 0
-    core_hi = core_lo + len(trajectory.points) - 1
-    first_segment = other(first) if backward_open else first
-    return AugmentedTrajectory(tuple(pts), (core_lo, core_hi), first_segment)
+        start, first = before, other(first)
+    size = len(trajectory) + backward_open + forward_open
+    out = trace(board, moves, start, first, max_points=size)
+    if out.status is TrajectoryStatus.CYCLIC:
+        # a window that misses two points of a cycle gains both, but not
+        # the segment that joins them
+        if len(out) == size:
+            return replace(out, status=TrajectoryStatus.TRUNCATED)
+    elif forward_open and len(out) < size:
+        raise InternalInvariantError(
+            f"status {trajectory.status} claims an open forward end "
+            f"but the antipode at {trajectory.points[-1]} is the identity"
+        )
+    return out
 
 
 def partition_into_trajectories(board, moves, points):
@@ -326,25 +296,17 @@ def partition_into_trajectories(board, moves, points):
             continue
         # start is the smallest point of its component
         ahead, last, closed = walk(start, 1)
-        if closed:
-            traj = Trajectory((start, *ahead), 1, TrajectoryStatus.CYCLIC)
-        else:
+        first, first_type, behind = start, 1, ()
+        if not closed:
             # a walk's last point is a path end, entered by the other type
             behind, back, _ = walk(start, 2)
             first, first_type = min(
                 ((start, *ahead)[-1], other(last)),
                 ((start, *behind)[-1], other(back)),
             )
-            seq, last, _ = walk(first, first_type)
-            seq = (first, *seq)
-            # open ends leave the set; a stopped end's antipode is itself
-            status = _END_STATUS[(
-                image[(first, other(first_type))] not in pool,
-                image[(seq[-1], last)] not in pool,
-            )]
-            traj = Trajectory(seq, first_type, status)
-        done.update(traj.points)
-        out.append(traj)
+        size = len(ahead) + len(behind) + 1
+        out.append(trace(board, moves, first, first_type, max_points=size))
+        done.update(out[-1].points)
     return out
 
 

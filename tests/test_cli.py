@@ -273,6 +273,25 @@ def test_corner_trajectories_take_max_steps_from_config(capsys, tmp_path):
     assert max(len(t["points"]) for t in json.loads(out)["trajectories"]) == 129
 
 
+def test_corner_trajectories_write_to_a_file_what_they_print(
+    capsys, tmp_path, pentagon
+):
+    board_file = tmp_path / "pentagon.json"
+    board_file.write_text(json.dumps(
+        [[str(c.x), str(c.y)] for c in pentagon.corners]
+    ))
+    argv = ["corner-trajectories", "--moves", "2,1", "1,2", "--board",
+            str(board_file), "--max-steps", "24", "--decimal"]
+    code, printed, _ = run_cli(capsys, *argv)
+    assert code == 0
+    data = json.loads(printed)
+    assert data["board_corners"] == 5 and len(data["trajectories"]) == 10
+    out_file = tmp_path / "corners.json"
+    code, out, _ = run_cli(capsys, *argv, "--out", str(out_file))
+    assert (code, out) == (0, "")
+    assert out_file.read_bytes() == printed.encode()
+
+
 def test_float_sim_rejects_negative_steps(capsys):
     code, out, err = run_cli(
         capsys, "float-sim", "--slopes", "1/5", "-3",

@@ -161,25 +161,45 @@ def test_augment_two_point_window(square):
         Point2(1, F(1, 2)),
         Point2(F(3, 4), 0),
     )
-    assert aug.core_range == (1, 2)
-    assert aug.first_segment_type == 2
+    assert aug.points[1:3] == window.points
+    assert aug.first_move_type == 2
     assert [seg[2] for seg in aug.segments()] == [2, 1, 2]
 
 
 def test_augment_keeps_stopped_ends(square):
     moves = (canonical_move(10, 3), canonical_move(5, -2))
     window = trace(square, moves, Point2(0, 0), 1)
-    aug = augment(square, moves, window)
-    assert aug.points == window.points
-    assert aug.core_range == (0, 3)
+    assert window.status is TrajectoryStatus.STOPPED_BOTH_ENDS
+    assert len(window) == 4
+    assert augment(square, moves, window) == window
 
 
 def test_augment_cyclic_repeats_first_point(square):
     cycle = trace(square, ORTH, Point2(F(1, 3), 0), 1, max_points=8)
     aug = augment(square, ORTH, cycle)
-    assert aug.cyclic
-    assert aug.points == cycle.points + (cycle.points[0],)
+    assert aug == cycle
     assert len(aug.segments()) == 4
+    assert aug.segments()[-1][1] == cycle.points[0]
+
+
+def test_augment_closes_a_window_one_point_short_of_a_cycle(square):
+    c = trace(square, ORTH, Point2(F(1, 3), 0), 1, max_points=8).points
+    window = trace(square, ORTH, Point2(F(1, 3), 0), 1, max_points=3)
+    aug = augment(square, ORTH, window)
+    assert aug.status is TrajectoryStatus.CYCLIC
+    assert aug.segments() == [
+        (c[3], c[0], 2), (c[0], c[1], 1), (c[1], c[2], 2), (c[2], c[3], 1)
+    ]
+
+
+def test_augment_leaves_open_a_window_two_points_short_of_a_cycle(square):
+    # both added ends are points of the cycle, but the segment joining
+    # them is not part of the augmented window
+    c = trace(square, ORTH, Point2(F(1, 3), 0), 1, max_points=8).points
+    window = trace(square, ORTH, Point2(F(1, 3), 0), 1, max_points=2)
+    aug = augment(square, ORTH, window)
+    assert aug.status is TrajectoryStatus.TRUNCATED
+    assert aug.segments() == [(c[3], c[0], 2), (c[0], c[1], 1), (c[1], c[2], 2)]
 
 
 def test_trajectory_text_round_trip(square):
@@ -215,10 +235,10 @@ def test_augment_round_trip_on_random_windows(data):
     cap = data.draw(st.integers(2, 8))
     t = trace(board, moves, p, first, max_points=cap)
     aug = augment(board, moves, t)
-    lo, hi = aug.core_range
-    assert aug.points[lo:hi + 1] == t.points
-    assert aug.segment_type(lo) == t.first_move_type \
-        or lo == hi  # one-point windows carry no segments
+    assert len(t) <= len(aug) <= len(t) + 2
+    lo = aug.points.index(t.points[0])
+    assert aug.points[lo:lo + len(t)] == t.points
+    assert aug.move_type_at(lo) == t.first_move_type
 
 
 def test_parse_trajectory_names_a_missing_header():
