@@ -3,7 +3,6 @@
 from .geometry import (
     Board,
     BoundaryLocation,
-    Edge,
     InternalInvariantError,
     LocationKind,
     Move,

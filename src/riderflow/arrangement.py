@@ -294,10 +294,10 @@ def enumerate_rigid_cycles(board, moves, max_length):
                         w_lo, w_hi, start_edge)
 
     if max_length >= 4:
-        for start_edge, edge in enumerate(board.edges):
-            # tail + t·(head - tail), t in [0, 1]
-            tx, ty, tw = _homogeneous(edge.tail)
-            hx, hy, hw = _homogeneous(edge.head)
+        for start_edge in range(n):
+            # corner i + t·(corner i + 1 - corner i), t in [0, 1]
+            tx, ty, tw = _homogeneous(board.corners[start_edge])
+            hx, hy, hw = _homogeneous(board.corners[(start_edge + 1) % n])
             p0 = _reduced((hx * tw - tx * hw, tx * hw,
                            hy * tw - ty * hw, ty * hw, tw * hw))
             descend([p0], start_edge, 1, Fraction(0), Fraction(1), start_edge)

@@ -117,14 +117,33 @@ class ProblemConfig:
 
 
 def _canonical_pair(raw_moves):
-    if len(raw_moves) != 2:
-        raise ParseError(f"expected two moves, got {len(raw_moves)}")
-    pair = tuple(canonical_move(int(c), int(d)) for c, d in raw_moves)
+    pair = tuple(canonical_move(c, d) for c, d in raw_moves)
     if pair[0] == pair[1]:
         raise ParallelMoves(
             f"moves canonicalize to the same direction {pair[0]}"
         )
     return pair
+
+
+def _int(value, name):
+    """A JSON value read as an integer."""
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ParseError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _pair(value, name):
+    """A JSON value that must be a two-item list."""
+    if not isinstance(value, list) or len(value) != 2:
+        raise ParseError(f"{name} must be a pair, got {value!r}")
+    return value
+
+
+def _point_from_value(value, name):
+    """A JSON [x, y] of rationals read as a point."""
+    x, y = _pair(value, name)
+    return Point2(parse_rational(str(x)), parse_rational(str(y)))
 
 
 def _board_from_value(value):
@@ -135,11 +154,9 @@ def _board_from_value(value):
     if not isinstance(value, list) or len(value) < 3:
         raise ParseError("board must be \"square\" or a corner list")
     _capped(len(value), MAX_CORNERS, "the number of board corners")
-    corners = [
-        Point2(parse_rational(str(sx)), parse_rational(str(sy)))
-        for sx, sy in value
-    ]
-    return Board.from_corners(corners)
+    return Board.from_corners(
+        [_point_from_value(corner, "a board corner") for corner in value]
+    )
 
 
 def parse_config(text, max_steps=MAX_STEPS):
@@ -157,18 +174,17 @@ def parse_config(text, max_steps=MAX_STEPS):
         raise ParseError(f"unknown config fields: {sorted(unknown)}")
     if "moves" not in data:
         raise ParseError("config requires \"moves\"")
-    moves = _canonical_pair(data["moves"])
+    moves = _canonical_pair([
+        [_int(v, "a move component") for v in _pair(move, "a move")]
+        for move in _pair(data["moves"], "moves")
+    ])
     board = _board_from_value(data.get("board", "square"))
-    start = None
-    if data.get("start") is not None:
-        raw = data["start"]
-        if isinstance(raw, str):
-            start = parse_point(raw)
-        else:
-            start = Point2(
-                parse_rational(str(raw[0])), parse_rational(str(raw[1]))
-            )
-    first_move = int(data.get("first_move", 1))
+    start = data.get("start")
+    if isinstance(start, str):
+        start = parse_point(start)
+    elif start is not None:
+        start = _point_from_value(start, "start")
+    first_move = _int(data.get("first_move", 1), "first_move")
     if first_move not in (1, 2):
         raise ParseError(f"first_move must be 1 or 2, got {first_move}")
     q = data.get("q")
@@ -176,11 +192,11 @@ def parse_config(text, max_steps=MAX_STEPS):
     return ProblemConfig(
         board=board,
         moves=moves,
-        q=None if q is None else int(q),
-        n_max=None if n_max is None else int(n_max),
+        q=None if q is None else _int(q, "q"),
+        n_max=None if n_max is None else _int(n_max, "n_max"),
         start=start,
         first_move=first_move,
-        max_steps=int(data.get("max_steps", max_steps)),
+        max_steps=_int(data.get("max_steps", max_steps), "max_steps"),
     )
 
 

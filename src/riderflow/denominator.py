@@ -30,6 +30,7 @@ from .geometry import (
     InternalInvariantError,
     LocationKind,
     Point2,
+    _from_homogeneous,
     line_through,
     point_denominator,
 )
@@ -79,8 +80,8 @@ class DenominatorReport:
 
 
 def _chords(segments):
-    """(a, b, k, move_type) per segment: a trajectory segment is a chord,
-    all of the line a·x + b·y = k that lies in the board."""
+    """(a, b, c, move_type) per segment: a trajectory segment is a chord,
+    all of the line a·x + b·y = c that lies in the board."""
     return tuple((*line_through(p, q), t) for p, q, t in segments)
 
 
@@ -92,11 +93,11 @@ def _interior_crossings(board, pairs):
     that point is interior.  (`trace` stops on a move along an edge, so
     no chord lies on an edge line: a chord without its ends is interior.)
     """
-    for key, (a1, b1, k1, t1), (a2, b2, k2, t2) in pairs:
+    for key, (a1, b1, c1, t1), (a2, b2, c2, t2) in pairs:
         if t1 == t2:
             continue
-        det = a1 * b2 - a2 * b1
-        pt = Point2((k1 * b2 - k2 * b1) / det, (a1 * k2 - a2 * k1) / det)
+        det = a1 * b2 - a2 * b1  # Cramer's rule on the two integer rows
+        pt = _from_homogeneous(c1 * b2 - c2 * b1, a1 * c2 - a2 * c1, det)
         if board.interior_contains(pt):
             yield key, pt
 
@@ -138,7 +139,7 @@ class _Flow:
     different move types together.
     """
 
-    chords: tuple  # of (a, b, k, move_type), one per segment
+    chords: tuple  # of (a, b, c, move_type), one per segment
     cost: tuple
     pair_cost: dict
 
@@ -394,8 +395,6 @@ def vertex_oracle(board, moves, q):
     if q <= 0:
         return 1
     dim = 2 * q
-    # an edge row (a, b, c) is its line scaled by an integer, which
-    # leaves every solution as it is
     rows = [
         (_fixation_normal(dim, i, row), row[2])
         for i in range(q)
@@ -482,8 +481,8 @@ def characterize_vertex(board, moves, pieces):
     for z in interior:
         witness = {1: None, 2: None}
         # an interior point is on a chord when it is on the chord's line
-        for segment, (a, b, k, move_type) in aug_chords:
-            if witness[move_type] is None and a * z.x + b * z.y == k:
+        for segment, (a, b, c, move_type) in aug_chords:
+            if witness[move_type] is None and a * z.x + b * z.y == c:
                 witness[move_type] = segment
         if witness[1] is None or witness[2] is None:
             raise InternalInvariantError(

@@ -11,7 +11,7 @@ exactly-analyzed families.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import hypot, inf
+from math import gcd, hypot, inf
 
 
 @dataclass(frozen=True)
@@ -45,10 +45,11 @@ def simulate_float(
     if steps < 0:
         raise ValueError(f"steps must be nonnegative, got {steps}")
     dirs = (1.0, float(slopes[0])), (1.0, float(slopes[1]))
-    edges = [
-        (float(e.normal[0]), float(e.normal[1]), float(e.offset))
-        for e in board.edges
-    ]
+    # each row over gcd(a, b), so (a, b) is primitive, as floats
+    edges = []
+    for a, b, c in board.rows:
+        g = gcd(a, b)
+        edges.append((a / g, b / g, c / g))
     corners = [(float(c.x), float(c.y)) for c in board.corners]
     x, y = float(start[0]), float(start[1])
     reference = None

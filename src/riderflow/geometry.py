@@ -1,9 +1,11 @@
 """Exact rational planar geometry: points, moves, convex polygonal boards.
 
 No floats enter any predicate.  Points have `fractions.Fraction`
-coordinates.  Boards are strictly convex polygons with rational corners,
-stored counterclockwise with primitive integer inward edge normals, and
-also as integer rows that locate a point given in homogeneous integer
+coordinates.  Every line, a board edge or a trajectory chord, is one
+primitive integer row (a, b, c) with a·x + b·y = c on the line, built by
+`line_through`.  Boards are strictly convex polygons with rational
+corners, stored counterclockwise with one row per edge, positive on the
+board side; the rows locate a point given in homogeneous integer
 coordinates (x, y, w), meaning (x/w, y/w), without any Fraction work.
 """
 
@@ -15,6 +17,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
+from typing import NamedTuple
 
 
 class ZeroDenominator(ZeroDivisionError):
@@ -161,40 +164,26 @@ def canonical_move(c, d):
 
 
 def line_through(p, q):
-    """(a, b, k) with a·x + b·y = k the line through p != q, and (a, b)
-    its primitive integer normal pointing left of q - p."""
-    nx, ny = p.y - q.y, q.x - p.x
-    scale = lcm(nx.denominator, ny.denominator)
-    a, b = int(nx * scale), int(ny * scale)
-    g = gcd(a, b)
-    return a // g, b // g, (a * p.x + b * p.y) / g
+    """The primitive integer row (a, b, c) of the line through p != q:
+    a·x + b·y = c on the line, and a·x + b·y > c left of q - p."""
+    px, py, pw = _homogeneous(p)
+    qx, qy, qw = _homogeneous(q)
+    a, b, c = py * qw - qy * pw, qx * pw - px * qw, py * qx - px * qy
+    g = gcd(a, b, c)
+    return a // g, b // g, c // g
 
 
-@dataclass(frozen=True)
-class Edge:
-    """Closed board edge from tail to head with inward normal.
+class Edge(NamedTuple):
+    """A board edge's row: a·x + b·y = c on its line, and a·x + b·y > c
+    on the board's side."""
 
-    The normal is a primitive integer vector; a point p is on the edge
-    line iff normal . p == offset, and strictly inside the board's
-    half-plane iff the dot product exceeds offset.
-    """
-
-    tail: Point2
-    head: Point2
-    normal: tuple
-    offset: Fraction
+    a: int
+    b: int
+    c: int
 
     def side_of(self, point):
-        """normal . p - offset: 0 on the line, positive on the board side."""
-        nx, ny = self.normal
-        return nx * point.x + ny * point.y - self.offset
-
-    def at_param(self, t):
-        t = Fraction(t)
-        return Point2(
-            self.tail.x + t * (self.head.x - self.tail.x),
-            self.tail.y + t * (self.head.y - self.tail.y),
-        )
+        """a·x + b·y - c: 0 on the line, positive on the board side."""
+        return self.a * point.x + self.b * point.y - self.c
 
 
 class LocationKind(enum.Enum):
@@ -218,12 +207,11 @@ _INTERIOR = BoundaryLocation(LocationKind.INTERIOR)
 class Board:
     """Strictly convex rational polygon, corners counterclockwise.
 
-    edges[i] runs from corners[i] to corners[i + 1 (mod n)], so edges
-    i - 1 and i meet at corner i.  rows[i] = (a, b, c) is edge i's line
-    scaled by the board denominator L (the lcm of the edge offsets'
-    denominators): a point (x/w, y/w) with w > 0 has the integer height
-    a·x + b·y - c·w = L·w·edges[i].side_of(point), which has the sign
-    of side_of.
+    edges[i] is the row of the edge from corners[i] to corners[i + 1
+    (mod n)], so edges i - 1 and i meet at corner i.  rows[i] is the
+    same (a, b, c) as a plain tuple, which the hot loops unpack faster:
+    a point (x/w, y/w) with w > 0 has the integer height
+    a·x + b·y - c·w = w·edges[i].side_of(point).
     """
 
     corners: tuple
@@ -231,12 +219,7 @@ class Board:
     rows: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        scale = lcm(*(e.offset.denominator for e in self.edges))
-        rows = tuple(
-            (e.normal[0] * scale, e.normal[1] * scale, int(e.offset * scale))
-            for e in self.edges
-        )
-        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "rows", tuple(map(tuple, self.edges)))
 
     @classmethod
     def from_corners(cls, corners):
@@ -254,12 +237,11 @@ class Board:
                     "corners must be distinct, strictly convex, and wind "
                     "counterclockwise"
                 )
-        edges = []
-        for i in range(n):
-            tail, head = corners[i], corners[(i + 1) % n]
-            a, b, offset = line_through(tail, head)  # inward for CCW winding
-            edges.append(Edge(tail, head, (a, b), offset))
-        return cls(corners, tuple(edges))
+        edges = tuple(  # inward for CCW winding
+            Edge(*line_through(corners[i], corners[(i + 1) % n]))
+            for i in range(n)
+        )
+        return cls(corners, edges)
 
     @classmethod
     def square(cls):

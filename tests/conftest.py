@@ -54,11 +54,20 @@ def rational_params():
     )
 
 
+def edge_point(board, i, t):
+    """corner i + t·(corner i + 1 - corner i): edge i at parameter t."""
+    tail = board.corners[i]
+    head = board.corners[(i + 1) % len(board.corners)]
+    t = Fraction(t)
+    return Point2(
+        tail.x + t * (head.x - tail.x), tail.y + t * (head.y - tail.y)
+    )
+
+
 def boundary_points(board):
-    edges = board.edges
     return st.tuples(
-        st.integers(0, len(edges) - 1), rational_params()
-    ).map(lambda pick: edges[pick[0]].at_param(pick[1]))
+        st.integers(0, len(board.corners) - 1), rational_params()
+    ).map(lambda pick: edge_point(board, *pick))
 
 
 def _strict_hull(points):

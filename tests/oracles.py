@@ -146,8 +146,7 @@ def antipode(board, move, point):
     t_lo = None
     t_hi = None
     for edge in board.edges:
-        nx, ny = edge.normal
-        along = nx * move.c + ny * move.d
+        along = edge.a * move.c + edge.b * move.d
         height = edge.side_of(point)
         if along == 0:
             if height == 0:
@@ -216,28 +215,30 @@ def _clip(lo, hi, f):
     return (lo, hi) if lo <= hi else None
 
 
+def _edge_ends(board, i):
+    """Edge i's tail and head: corners i and i + 1."""
+    return board.corners[i], board.corners[(i + 1) % len(board.corners)]
+
+
 def _land(board, point_aff, move, edge_index):
     """Affine image of a point slid along `move` onto an edge line, plus
     the landing's edge parameter u as an affine function of t."""
-    edge = board.edges[edge_index]
-    nx, ny = edge.normal
-    along = nx * move.c + ny * move.d
+    a, b, c = board.edges[edge_index]
+    along = a * move.c + b * move.d
     if along == 0:
         return None
     fx, fy = point_aff
-    height = _aff(
-        nx * fx[0] + ny * fy[0],
-        nx * fx[1] + ny * fy[1] - edge.offset,
-    )
+    height = _aff(a * fx[0] + b * fy[0], a * fx[1] + b * fy[1] - c)
     tau = _aff(-Fraction(height[0], along), -Fraction(height[1], along))
     qx = _aff(fx[0] + tau[0] * move.c, fx[1] + tau[1] * move.c)
     qy = _aff(fy[0] + tau[0] * move.d, fy[1] + tau[1] * move.d)
-    span_x = edge.head.x - edge.tail.x
+    tail, head = _edge_ends(board, edge_index)
+    span_x = head.x - tail.x
     if span_x != 0:
-        u = _aff(qx[0] / span_x, (qx[1] - edge.tail.x) / span_x)
+        u = _aff(qx[0] / span_x, (qx[1] - tail.x) / span_x)
     else:
-        span_y = edge.head.y - edge.tail.y
-        u = _aff(qy[0] / span_y, (qy[1] - edge.tail.y) / span_y)
+        span_y = head.y - tail.y
+        u = _aff(qy[0] / span_y, (qy[1] - tail.y) / span_y)
     return (qx, qy), u
 
 
@@ -323,9 +324,9 @@ def rigid_cycles(board, moves, max_length):
                         window[0], window[1], start_edge, first_type)
 
     if max_length >= 4:
-        for start_edge, edge in enumerate(board.edges):
-            p0 = (_aff(edge.head.x - edge.tail.x, edge.tail.x),
-                  _aff(edge.head.y - edge.tail.y, edge.tail.y))
+        for start_edge in range(n):
+            tail, head = _edge_ends(board, start_edge)
+            p0 = (_aff(head.x - tail.x, tail.x), _aff(head.y - tail.y, tail.y))
             for first_type in (1, 2):
                 descend([p0], start_edge, first_type, Fraction(0), Fraction(1),
                         start_edge, first_type)

@@ -38,6 +38,8 @@ from riderflow import (
 )
 import random
 
+from conftest import edge_point
+
 F = Fraction
 SQUARE = Board.square()
 INCLINED = (canonical_move(2, 1), canonical_move(1, 2))
@@ -211,8 +213,8 @@ def test_criterion_7_dynamics_properties():
 
         for moves in (INCLINED, ORTH, LATERAL, BISHOP):
             for _ in range(1000):
-                edge = SQUARE.edges[rng.randrange(4)]
-                p = edge.at_param(F(rng.randrange(65), 64))
+                p = edge_point(SQUARE, rng.randrange(4),
+                               F(rng.randrange(65), 64))
                 move = moves[rng.randrange(2)]
                 assert antipode(SQUARE, move, antipode(SQUARE, move, p)) == p
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -75,13 +76,42 @@ def test_parse_config_rejects_parallel_moves():
         parse_config('{"moves": [[2, 4], [1, 2]]}')
 
 
-def test_parse_config_rejects_garbage():
+MOVES_FIELD = '"moves": [[2, 1], [1, 2]]'
+
+
+@pytest.mark.parametrize("text", [
+    "not json",
+    '{%s, "bogus": 1}' % MOVES_FIELD,
+    '{"board": "square"}',
+    '{"moves": 5}',
+    '{"moves": [[2, null], [1, 2]]}',
+    '{"moves": [[2, 1, 3], [1, 2]]}',
+    '{%s, "first_move": [1]}' % MOVES_FIELD,
+    '{%s, "board": [1, 2, 3]}' % MOVES_FIELD,
+    '{%s, "board": {"corners": [[0, 0], [1, 0], [0]]}}' % MOVES_FIELD,
+    '{%s, "start": 5}' % MOVES_FIELD,
+    '{%s, "start": [1]}' % MOVES_FIELD,
+    '{%s, "max_steps": null}' % MOVES_FIELD,
+    '{%s, "q": [3]}' % MOVES_FIELD,
+    '{%s, "q": 1e999}' % MOVES_FIELD,
+])
+def test_parse_config_rejects_garbage(text):
     with pytest.raises(ParseError):
-        parse_config("not json")
-    with pytest.raises(ParseError):
-        parse_config('{"moves": [[1, 1], [1, -1]], "bogus": 1}')
-    with pytest.raises(ParseError):
-        parse_config('{"board": "square"}')
+        parse_config(text)
+
+
+@pytest.mark.parametrize("route", ["--config", "--board"])
+def test_malformed_config_or_board_file_exits_2(capsys, tmp_path, route):
+    bad = tmp_path / "bad.json"
+    if route == "--config":
+        bad.write_text('{"moves": 5}')
+        argv = ["--config", str(bad)]
+    else:
+        bad.write_text("[1, 2, 3]")
+        argv = ["--moves", "2,1", "1,2", "--board", str(bad)]
+    code, out, err = run_cli(capsys, "simulate", *argv, "--start", "0,0")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_config_round_trip():
@@ -614,6 +644,36 @@ def test_square_only_command_rejects_another_board(
             assert err.startswith("error:") and "square" in err
         else:
             assert (code, err) == (0, "") and out
+
+
+# Edge offsets over 3 give the edges' integer rows different scales.
+THIRDS_BOARD = {"corners": [["0", "0"], ["1", "1/3"], ["4/3", "2"],
+                            ["1/3", "5/3"], ["-1/3", "2/3"]]}
+
+
+@pytest.mark.parametrize("argv, digest", [
+    # the start lies outside the board, so the path runs off to inf/nan
+    (["float-sim", "--slopes", "1/5", "-3", "--start", "1/2,0",
+      "--steps", "3000", "--limit", "corner"],
+     "e5824e4b4ac09e0e132faaa52bb1b198d7b47e1027c0cec2fff01a1b8eef1495"),
+    (["float-sim", "--slopes", "1/5", "-3", "--start", "1/2,1/6",
+      "--steps", "3000", "--limit", "corner"],
+     "aa5f170e2c60aa2f4acfaa2f1f0b3d44043ab0cd7ea724eddfb85bbec24d1660"),
+    (["denominator", "--moves", "2,1", "1,-2", "--q", "6"],
+     "b96c7f8d035a20a35769b369f8a4e5841b5e32f3c21c7fcf10d36944df5ec099"),
+    (["render", "--moves", "3,1", "1,-3", "--q", "5"],
+     "ba765793e0fd532c454b1a3b5932e3fc1b988bec8323af95a8ad8f8fb0484cea"),
+    (["corner-trajectories", "--moves", "2,1", "1,-2", "--max-steps", "60"],
+     "07414f134a0e49e1a7cdc3ffd659eef6e25ccfb6fac0fec3d0e13a41d518410b"),
+])
+def test_output_on_a_board_with_differing_edge_scales(
+    capsys, tmp_path, argv, digest
+):
+    board_file = tmp_path / "thirds.json"
+    board_file.write_text(json.dumps(THIRDS_BOARD))
+    code, out, err = run_cli(capsys, *argv, "--board", str(board_file))
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def _regular_corners(k):

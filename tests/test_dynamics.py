@@ -28,6 +28,7 @@ from conftest import (
     boundary_points,
     canonical_move_pairs,
     convex_boards,
+    edge_point,
     move_pairs,
 )
 
@@ -349,7 +350,8 @@ def _partition_scope():
                     pool.update(trace(board, moves, corner, r, cap).points)
             for cycle in enumerate_rigid_cycles(board, moves, 4):
                 pool.update(cycle.points)
-            pool.update(edge.at_param(F(1, 3)) for edge in board.edges)
+            n = len(board.corners)
+            pool.update(edge_point(board, i, F(1, 3)) for i in range(n))
             pts = sorted(pool)
             yield board, moves, pts
             yield board, moves, [p for i, p in enumerate(pts) if i % 3]

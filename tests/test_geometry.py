@@ -1,7 +1,8 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from riderflow import (
     Board,
@@ -19,7 +20,9 @@ from riderflow import (
     point_denominator,
 )
 
-from conftest import boundary_points
+from riderflow.geometry import Edge, line_through
+
+from conftest import boundary_points, convex_boards
 
 
 rationals = st.builds(
@@ -147,3 +150,31 @@ def test_classify_matches_halfplane_oracle(x, y):
         assert kind is LocationKind.INTERIOR
     else:
         assert kind in (LocationKind.EDGE, LocationKind.CORNER)
+
+
+@given(convex_boards())
+def test_board_edges_are_primitive_integer_rows(board):
+    n = len(board.corners)
+    for i, edge in enumerate(board.edges):
+        assert type(edge) is Edge
+        assert all(type(v) is int for v in edge) and gcd(*edge) == 1
+        ends = {i, (i + 1) % n}
+        for k, corner in enumerate(board.corners):
+            if k in ends:
+                assert edge.side_of(corner) == 0
+            else:
+                assert edge.side_of(corner) > 0
+        assert board.rows[i] == tuple(edge)
+        assert type(board.rows[i]) is tuple
+
+
+@given(rationals, rationals, rationals, rationals)
+def test_line_through_is_a_primitive_row_through_both_points(x1, y1, x2, y2):
+    p, q = Point2(x1, y1), Point2(x2, y2)
+    assume(p != q)
+    a, b, c = line_through(p, q)
+    assert all(type(v) is int for v in (a, b, c)) and gcd(a, b, c) == 1
+    assert a * p.x + b * p.y == c and a * q.x + b * q.y == c
+    # positive on the left of q - p
+    left = Point2(p.x - (q.y - p.y), p.y + (q.x - p.x))
+    assert a * left.x + b * left.y > c
