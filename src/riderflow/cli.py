@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import lcm
 from pathlib import Path
 
@@ -126,11 +126,15 @@ def _canonical_pair(raw_moves):
 
 
 def _int(value, name):
-    """A JSON value read as an integer."""
-    try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ParseError(f"{name} must be an integer, got {value!r}") from None
+    """A JSON integer, or a string of one (as --moves gives)."""
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    elif isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ParseError(f"{name} must be an integer, got {value!r}")
 
 
 def _pair(value, name):
@@ -159,21 +163,31 @@ def _board_from_value(value):
     )
 
 
-def parse_config(text, max_steps=MAX_STEPS):
-    """Problem config from JSON text; max_steps is the cap if it has none."""
+def _json_object(text):
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ParseError("config must be a JSON object")
+    return data
+
+
+def parse_config(text, max_steps=MAX_STEPS):
+    """Problem config from JSON text; max_steps is the cap if it has none."""
+    return _problem(_json_object(text), max_steps)
+
+
+def _problem(data, max_steps):
+    """The one validator of a problem's fields, from a file or flags."""
     known = {"board", "moves", "q", "n_max", "start", "first_move",
              "max_steps"}
     unknown = set(data) - known
     if unknown:
         raise ParseError(f"unknown config fields: {sorted(unknown)}")
     if "moves" not in data:
-        raise ParseError("config requires \"moves\"")
+        raise ParseError("no moves given (use --moves or a config's "
+                         "\"moves\")")
     moves = _canonical_pair([
         [_int(v, "a move component") for v in _pair(move, "a move")]
         for move in _pair(data["moves"], "moves")
@@ -228,50 +242,25 @@ def serialize_config(config):
 # Argument resolution.
 
 
-def _parse_move_arg(text):
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ParseError(f"move must look like c,d — got {text!r}")
-    try:
-        return int(parts[0]), int(parts[1])
-    except ValueError as exc:
-        raise ParseError(f"move components must be integers: {text!r}") \
-            from exc
-
-
-def _board_arg(text):
-    """The --board value: "square" or a JSON file with a corner list."""
-    if text == "square":
-        return Board.square()
-    return _board_from_value(json.loads(Path(text).read_text()))
+def _board_value(text):
+    """The --board value as a config field: "square" or a file's JSON."""
+    return text if text == "square" else json.loads(Path(text).read_text())
 
 
 def _resolve_config(args, max_steps=MAX_STEPS):
-    """Merge config file and command line; explicit flags win.
+    """The config file's fields with each given flag laid over them.
 
     max_steps is the command's cap when neither gives one.
     """
-    if args.config:
-        config = parse_config(Path(args.config).read_text(), max_steps)
-    else:
-        config = ProblemConfig(
-            board=Board.square(), moves=None, max_steps=max_steps
-        )
-    flags = {}
+    data = _json_object(Path(args.config).read_text()) if args.config else {}
     if args.board:
-        flags["board"] = _board_arg(args.board)
+        data["board"] = _board_value(args.board)
     if args.moves:
-        flags["moves"] = _canonical_pair(
-            [_parse_move_arg(text) for text in args.moves]
-        )
-    if flags.get("moves", config.moves) is None:
-        raise ParseError("no moves given (use --moves or --config)")
-    for name in ("q", "n_max", "first_move", "max_steps"):
+        data["moves"] = [text.split(",") for text in args.moves]
+    for name in ("q", "n_max", "start", "first_move", "max_steps"):
         if getattr(args, name, None) is not None:
-            flags[name] = getattr(args, name)
-    if getattr(args, "start", None) is not None:
-        flags["start"] = parse_point(args.start)
-    return replace(config, **flags)
+            data[name] = getattr(args, name)
+    return _problem(data, max_steps)
 
 
 def _capped(value, cap, name):
@@ -380,11 +369,13 @@ def _cmd_simulate(args):
 
 
 def _cmd_float_sim(args):
-    board = _board_arg(args.board) if args.board else Board.square()
+    board = _board_from_value(_board_value(args.board or "square"))
     slopes = tuple(parse_rational(s) for s in args.slopes)
     if slopes[0] == slopes[1]:
         raise ParseError("slopes must differ")
     start = parse_point(args.start)
+    if not board.contains(start):
+        raise ParseError(f"{start} is outside the board")
     limit_set = None
     if args.limit == "orbit":
         limit_set = [
@@ -579,7 +570,7 @@ def _cmd_conjecture(args):
         "q": report.q,
         "period": report.period,
         "denominator": report.denominator,
-        "divides": report.divides,
+        "divides": True,
         "equal": report.equal,
     }
     _emit(_json_text(payload), args.out)

@@ -21,8 +21,9 @@ Dividing by q! gives unordered placements.  The weighted flat shapes
 depend on q alone and are built once per q; one routine, _peel, takes
 their hom counts per board by passing messages between lines, peeling
 leaves and opening each 2-core by pinning one vertex.  The resulting
-integer sequences are fitted exactly — over Fraction, with every
-surplus sample validated — to candidate quasipolynomials of degree 2q.
+integer sequences are fitted exactly to candidate quasipolynomials of
+degree 2q: a period is tested in integers, by finite differences over
+every sample, and only an accepted one is interpolated.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from functools import cache
 from itertools import permutations
 from math import factorial, prod
 
+from .arrangement import solve_square_system
 from .geometry import Board, InternalInvariantError
 from .denominator import denominator
 
@@ -332,33 +334,6 @@ class QuasipolynomialFit:
     constituents: tuple  # per residue class: Fraction coeffs, ascending
 
 
-def _newton_fit(xs, ys):
-    """Interpolating polynomial through (xs, ys), ascending coefficients."""
-    k = len(xs)
-    table = [[Fraction(y) for y in ys]]
-    for j in range(1, k):
-        prev = table[-1]
-        table.append(
-            [
-                (prev[i + 1] - prev[i]) / (xs[i + j] - xs[i])
-                for i in range(k - j)
-            ]
-        )
-    poly = [Fraction(0)] * k
-    basis = [Fraction(1)] + [Fraction(0)] * (k - 1)
-    for j in range(k):
-        lead = table[j][0]
-        for idx in range(j + 1):
-            poly[idx] += lead * basis[idx]
-        if j < k - 1:
-            shifted = [Fraction(0)] * k
-            for idx in range(j + 1):
-                shifted[idx + 1] += basis[idx]
-                shifted[idx] -= xs[j] * basis[idx]
-            basis = shifted
-    return poly
-
-
 def _eval_poly(coeffs, n):
     acc = Fraction(0)
     for c in reversed(coeffs):
@@ -366,21 +341,43 @@ def _eval_poly(coeffs, n):
     return acc
 
 
+def _degree(series, degree):
+    if degree is None:
+        return 2 * series.q
+    if degree < 0:
+        raise ValueError(f"degree must be nonnegative, got {degree}")
+    return degree
+
+
+def _fits(values, period, degree):
+    """Whether each residue class lies on a polynomial of degree <= degree.
+
+    The class of r takes the samples values[r], values[r + period], ...
+    from n = 1 on; equally spaced samples lie on one such polynomial
+    exactly when their (degree + 1)-th differences vanish.
+    """
+    for r in range(1, period + 1):
+        diffs = values[r::period]
+        for _ in range(degree + 1):
+            diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+        if any(diffs):
+            return False
+    return True
+
+
 def fit(series, period, degree=None):
     """Fit one quasipolynomial of the given period, or None if refuted.
 
     Counts for n >= 1 are used (the empty board is not governed by the
-    counting function).  Each residue class needs degree + 2 samples:
-    degree + 1 to interpolate and at least one checked exactly; all
-    surplus samples are validated, and any mismatch refutes the period.
+    counting function).  Each residue class needs degree + 2 samples;
+    _fits checks every one, and any mismatch refutes the period.  Each
+    class of an accepted period is interpolated through its first
+    degree + 1 samples.
     """
 
     if period < 1:
         raise ValueError(f"period must be positive, got {period}")
-    if degree is None:
-        degree = 2 * series.q
-    if degree < 0:
-        raise ValueError(f"degree must be nonnegative, got {degree}")
+    degree = _degree(series, degree)
     n_max = len(series.values) - 1
     needed = period * (degree + 2)
     if n_max < needed:
@@ -389,15 +386,15 @@ def fit(series, period, degree=None):
             f"n = {needed}, have {n_max}",
             required_n_max=needed,
         )
+    if not _fits(series.values, period, degree):
+        return None
     constituents = []
     for r in range(period):
-        ns = [n for n in range(1, n_max + 1) if n % period == r]
-        head = ns[: degree + 1]
-        coeffs = _newton_fit(head, [series.values[n] for n in head])
-        for n in ns[degree + 1:]:
-            if _eval_poly(coeffs, n) != series.values[n]:
-                return None
-        constituents.append(tuple(coeffs))
+        ns = range(r or period, n_max + 1, period)[: degree + 1]
+        constituents.append(tuple(solve_square_system(
+            [[n**k for k in range(degree + 1)] for n in ns],
+            [series.values[n] for n in ns],
+        )))
     return QuasipolynomialFit(degree, period, tuple(constituents))
 
 
@@ -412,14 +409,11 @@ def minimal_period(series, degree=None):
     sequence is too short to reveal its period, not periodic-free.
     """
 
-    if degree is None:
-        degree = 2 * series.q
-    if degree < 0:
-        raise ValueError(f"degree must be nonnegative, got {degree}")
+    degree = _degree(series, degree)
     n_max = len(series.values) - 1
     period = 1
     while period * (degree + 2) <= n_max:
-        if fit(series, period, degree) is not None:
+        if _fits(series.values, period, degree):
             return period
         period += 1
     return None
@@ -430,7 +424,6 @@ class ConjectureReport:
     q: int
     period: int
     denominator: int
-    divides: bool
     equal: bool
 
 
@@ -457,6 +450,4 @@ def conjecture_report(moves, q, n_max):
             f"fitted period {period} does not divide denominator "
             f"{report.value}"
         )
-    return ConjectureReport(
-        q, period, report.value, True, period == report.value
-    )
+    return ConjectureReport(q, period, report.value, period == report.value)

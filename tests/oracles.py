@@ -4,6 +4,11 @@
 bitmasks; `count_pairs_formula` is the closed q = 2 count.  Neither
 shares code with `riderflow.counting`.
 
+`newton_fit` fits a quasipolynomial by Newton interpolation over
+`Fraction` and checks every surplus sample against it, where
+`riderflow.counting.fit` tests a period by integer differences and
+interpolates with the library's one elimination routine.
+
 `classify`, `antipode` and `stepped_trace` are the bounce step over
 `Fraction` arithmetic: locate the point with one `Edge.side_of` per
 edge, then clip the move line against every edge half-plane.  They
@@ -111,6 +116,48 @@ def count_pairs_formula(moves, n):
         for cells in _line_groups(move, n).values():
             total -= comb(len(cells), 2)
     return total
+
+
+def _newton_poly(xs, ys):
+    """Interpolating polynomial through (xs, ys), ascending coefficients."""
+    k = len(xs)
+    table = [[Fraction(y) for y in ys]]
+    for j in range(1, k):
+        prev = table[-1]
+        table.append([
+            (prev[i + 1] - prev[i]) / (xs[i + j] - xs[i])
+            for i in range(k - j)
+        ])
+    poly = [Fraction(0)] * k
+    basis = [Fraction(1)] + [Fraction(0)] * (k - 1)
+    for j in range(k):
+        for idx in range(j + 1):
+            poly[idx] += table[j][0] * basis[idx]
+        if j < k - 1:
+            shifted = [Fraction(0)] * k
+            for idx in range(j + 1):
+                shifted[idx + 1] += basis[idx]
+                shifted[idx] -= xs[j] * basis[idx]
+            basis = shifted
+    return poly
+
+
+def newton_fit(values, period, degree):
+    """Per-residue constituents fitted to values[1:], or None if refuted.
+
+    Each class r (n % period == r, n >= 1) is interpolated through its
+    first degree + 1 samples and every later sample is evaluated.
+    """
+    constituents = []
+    for r in range(period):
+        ns = [n for n in range(1, len(values)) if n % period == r]
+        head = ns[: degree + 1]
+        coeffs = _newton_poly(head, [values[n] for n in head])
+        for n in ns[degree + 1:]:
+            if sum(c * n**k for k, c in enumerate(coeffs)) != values[n]:
+                return None
+        constituents.append(tuple(coeffs))
+    return tuple(constituents)
 
 
 def classify(board, point):

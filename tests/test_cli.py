@@ -94,6 +94,9 @@ MOVES_FIELD = '"moves": [[2, 1], [1, 2]]'
     '{%s, "max_steps": null}' % MOVES_FIELD,
     '{%s, "q": [3]}' % MOVES_FIELD,
     '{%s, "q": 1e999}' % MOVES_FIELD,
+    '{%s, "q": 2.7}' % MOVES_FIELD,
+    '{%s, "first_move": true}' % MOVES_FIELD,
+    '{%s, "max_steps": 1.9}' % MOVES_FIELD,
 ])
 def test_parse_config_rejects_garbage(text):
     with pytest.raises(ParseError):
@@ -652,10 +655,9 @@ THIRDS_BOARD = {"corners": [["0", "0"], ["1", "1/3"], ["4/3", "2"],
 
 
 @pytest.mark.parametrize("argv, digest", [
-    # the start lies outside the board, so the path runs off to inf/nan
-    (["float-sim", "--slopes", "1/5", "-3", "--start", "1/2,0",
+    (["float-sim", "--slopes", "1/5", "-3", "--start", "5/6,11/6",
       "--steps", "3000", "--limit", "corner"],
-     "e5824e4b4ac09e0e132faaa52bb1b198d7b47e1027c0cec2fff01a1b8eef1495"),
+     "3d12d532618261140e6997af0bf82b0fd18de4baa59ef608f77b24827a0c2b31"),
     (["float-sim", "--slopes", "1/5", "-3", "--start", "1/2,1/6",
       "--steps", "3000", "--limit", "corner"],
      "aa5f170e2c60aa2f4acfaa2f1f0b3d44043ab0cd7ea724eddfb85bbec24d1660"),
@@ -674,6 +676,80 @@ def test_output_on_a_board_with_differing_edge_scales(
     code, out, err = run_cli(capsys, *argv, "--board", str(board_file))
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# (command, [(flag, config field, its value, another value)]); BOARD
+# stands for a file holding THIRDS_BOARD
+ONE_INPUT_PATH = [
+    ("simulate", [
+        (["--moves", "2,1", "1,2"], "moves", [[2, 1], [1, 2]],
+         [[2, 1], [1, -2]]),
+        (["--board", "BOARD"], "board", THIRDS_BOARD, "square"),
+        (["--start", "1/2,1/6"], "start", ["1/2", "1/6"], "7/6,7/6"),
+        (["--first-move", "2"], "first_move", 2, 1),
+        (["--max-steps", "50"], "max_steps", 50, 7),
+    ]),
+    ("denominator", [
+        (["--moves", "2,1", "1,-2"], "moves", [[2, 1], [1, -2]],
+         [[2, 1], [1, 2]]),
+        (["--q", "3"], "q", 3, 2),
+    ]),
+    ("count", [
+        (["--moves", "1,1", "1,-1"], "moves", [[1, 1], [1, -1]],
+         [[2, 1], [1, -2]]),
+        (["--q", "2"], "q", 2, 1),
+        (["--n-max", "6"], "n_max", 6, 4),
+    ]),
+]
+
+
+@pytest.mark.parametrize(
+    "command, options", ONE_INPUT_PATH, ids=[c for c, _ in ONE_INPUT_PATH]
+)
+def test_flags_and_config_fields_are_one_input(
+    capsys, tmp_path, command, options
+):
+    board_file = tmp_path / "board.json"
+    board_file.write_text(json.dumps(THIRDS_BOARD))
+    cfg_file = tmp_path / "problem.json"
+
+    def flag_argv(flag):
+        return [str(board_file) if a == "BOARD" else a for a in flag]
+
+    def run_with_file(fields, *argv):
+        cfg_file.write_text(json.dumps(fields))
+        return run_cli(capsys, command, "--config", str(cfg_file), *argv)
+
+    flags = [a for flag, *_ in options for a in flag_argv(flag)]
+    printed = run_cli(capsys, command, *flags)
+    assert printed[0] == 0 and printed[1] and printed[2] == ""
+    fields = {field: value for _, field, value, _ in options}
+    assert run_with_file(fields) == printed
+    # each flag overrides its field in the file
+    for flag, field, _, other in options:
+        changed = {**fields, field: other}
+        assert run_with_file(changed) != printed
+        assert run_with_file(changed, *flag_argv(flag)) == printed
+
+
+@pytest.mark.parametrize("board, start", [
+    (None, "2,5"),
+    (THIRDS_BOARD, "1/2,0"),
+])
+def test_float_sim_refuses_a_start_outside_the_board(
+    capsys, tmp_path, board, start
+):
+    board_args = []
+    if board is not None:
+        board_file = tmp_path / "board.json"
+        board_file.write_text(json.dumps(board))
+        board_args = ["--board", str(board_file)]
+    code, out, err = run_cli(
+        capsys, "float-sim", "--slopes", "1/5", "-3", "--start", start,
+        "--steps", "5", *board_args,
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "outside the board" in err
 
 
 def _regular_corners(k):
