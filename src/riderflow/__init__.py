@@ -26,7 +26,6 @@ from .dynamics import (
     corner_trajectories,
     format_trajectory,
     other,
-    parse_trajectory,
     partition_into_trajectories,
     trace,
 )

@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from math import lcm
 from pathlib import Path
 
@@ -116,6 +116,10 @@ class ProblemConfig:
     max_steps: int = MAX_STEPS
 
 
+# The fields of a problem, as config keys and as the dests of their flags.
+_FIELDS = tuple(f.name for f in fields(ProblemConfig))
+
+
 def _canonical_pair(raw_moves):
     pair = tuple(canonical_move(c, d) for c, d in raw_moves)
     if pair[0] == pair[1]:
@@ -180,9 +184,7 @@ def parse_config(text, max_steps=MAX_STEPS):
 
 def _problem(data, max_steps):
     """The one validator of a problem's fields, from a file or flags."""
-    known = {"board", "moves", "q", "n_max", "start", "first_move",
-             "max_steps"}
-    unknown = set(data) - known
+    unknown = set(data) - set(_FIELDS)
     if unknown:
         raise ParseError(f"unknown config fields: {sorted(unknown)}")
     if "moves" not in data:
@@ -253,13 +255,15 @@ def _resolve_config(args, max_steps=MAX_STEPS):
     max_steps is the command's cap when neither gives one.
     """
     data = _json_object(Path(args.config).read_text()) if args.config else {}
-    if args.board:
-        data["board"] = _board_value(args.board)
-    if args.moves:
-        data["moves"] = [text.split(",") for text in args.moves]
-    for name in ("q", "n_max", "start", "first_move", "max_steps"):
-        if getattr(args, name, None) is not None:
-            data[name] = getattr(args, name)
+    for name in _FIELDS:
+        value = getattr(args, name, None)
+        if value is None:
+            continue
+        if name == "board":
+            value = _board_value(value)
+        elif name == "moves":
+            value = [text.split(",") for text in value]
+        data[name] = value
     return _problem(data, max_steps)
 
 
@@ -271,8 +275,11 @@ def _capped(value, cap, name):
 
 
 def _square_only(config):
-    """The config of a command that counts or solves on the square alone."""
-    if config.board != Board.square():
+    """The config of a command that counts or solves on the square alone.
+
+    The unit square may be listed from any of its corners.
+    """
+    if set(config.board.corners) != set(Board.square().corners):
         raise ParseError("this command works on the square board only")
     return config
 
@@ -358,14 +365,11 @@ def _cmd_simulate(args):
         max_points=_trace_points(config),
     )
     if args.format == "json":
-        payload = _trajectory_payload(trajectory, args.decimal)
-        _emit(_json_text(payload), args.out)
-    elif args.format == "svg":
+        return _json_text(_trajectory_payload(trajectory, args.decimal))
+    if args.format == "svg":
         spec = RenderSpec(paths=(_render_path(trajectory),))
-        _emit(render_svg(config.board, spec), args.out)
-    else:
-        _emit(format_trajectory(trajectory), args.out)
-    return 0
+        return render_svg(config.board, spec)
+    return format_trajectory(trajectory)
 
 
 def _cmd_float_sim(args):
@@ -385,11 +389,11 @@ def _cmd_float_sim(args):
         moves = _canonical_pair(
             [(s.denominator, s.numerator) for s in slopes]
         )
-        seen = set()
-        for trajectory in corner_trajectories(board, moves, max_points=256):
-            for p in trajectory.points:
-                seen.add((p.x, p.y))
-        limit_set = sorted(seen)
+        limit_set = sorted({
+            (p.x, p.y)
+            for trajectory in corner_trajectories(board, moves, max_points=256)
+            for p in trajectory.points
+        })
     path = simulate_float(
         board,
         slopes,
@@ -403,8 +407,7 @@ def _cmd_float_sim(args):
     for i, (x, y) in enumerate(path.points):
         dist = "" if path.distances is None else repr(path.distances[i])
         rows.append(f"{i},{x!r},{y!r},{dist}")
-    _emit("\n".join(rows) + "\n", args.out)
-    return 0
+    return "\n".join(rows) + "\n"
 
 
 def _cmd_corner_trajectories(args):
@@ -419,21 +422,18 @@ def _cmd_corner_trajectories(args):
         yield (f'{{\n  "board_corners": {len(board.corners)},\n'
                '  "trajectories": [\n    ')
         separator = ""
-        for corner in board.corners:
-            for move_type in (1, 2):
-                t = trace(board, config.moves, corner, move_type, max_points)
-                item = {
-                    "corner": _point_payload(corner, args.decimal),
-                    **_trajectory_payload(t, args.decimal),
-                }
-                yield separator + json.dumps(item, indent=2).replace(
-                    "\n", "\n    "
-                )
-                separator = ",\n    "
+        for t in corner_trajectories(board, config.moves, max_points):
+            item = {
+                "corner": _point_payload(t.points[0], args.decimal),
+                **_trajectory_payload(t, args.decimal),
+            }
+            yield separator + json.dumps(item, indent=2).replace(
+                "\n", "\n    "
+            )
+            separator = ",\n    "
         yield "\n  ]\n}\n"
 
-    _emit(chunks(), args.out)
-    return 0
+    return chunks()
 
 
 def _cmd_rigid_cycles(args):
@@ -459,8 +459,7 @@ def _cmd_rigid_cycles(args):
             for t in cycles
         ],
     }
-    _emit(_json_text(payload), args.out)
-    return 0
+    return _json_text(payload)
 
 
 def _cmd_denominator(args):
@@ -479,8 +478,7 @@ def _cmd_denominator(args):
             for c in report.contributions
         ],
     }
-    _emit(_json_text(payload), args.out)
-    return 0
+    return _json_text(payload)
 
 
 def _detect_family(moves):
@@ -515,8 +513,7 @@ def _cmd_closed_form(args):
         "q": q,
         "denominator": value,
     }
-    _emit(_json_text(payload), args.out)
-    return 0
+    return _json_text(payload)
 
 
 def _cmd_count(args):
@@ -525,8 +522,7 @@ def _cmd_count(args):
     series = count_series(config.moves, q, n_max)
     rows = ["n,count"]
     rows.extend(f"{n},{v}" for n, v in enumerate(series.values))
-    _emit("\n".join(rows) + "\n", args.out)
-    return 0
+    return "\n".join(rows) + "\n"
 
 
 def _cmd_period(args):
@@ -538,12 +534,12 @@ def _cmd_period(args):
     if period is None:
         period = minimal_period(series, degree)
         if period is None:
-            print(
-                "error: no period decidable from counts up to "
-                f"n = {n_max}; extend --n-max",
-                file=sys.stderr,
+            # the first n at which the search can try one more period
+            raise InsufficientData(
+                f"no period decidable from counts up to n = {n_max}; "
+                "extend --n-max",
+                required_n_max=(n_max // (degree + 2) + 1) * (degree + 2),
             )
-            return 3
     fitted = fit(series, period, degree)
     payload = {
         "q": q,
@@ -557,8 +553,7 @@ def _cmd_period(args):
             [str(c) for c in constituent]
             for constituent in fitted.constituents
         ]
-    _emit(_json_text(payload), args.out)
-    return 0
+    return _json_text(payload)
 
 
 def _cmd_conjecture(args):
@@ -573,83 +568,60 @@ def _cmd_conjecture(args):
         "divides": True,
         "equal": report.equal,
     }
-    _emit(_json_text(payload), args.out)
-    return 0
+    return _json_text(payload)
 
 
 def _cmd_render(args):
     config = _resolve_config(args)
     q = 4 if config.q is None else config.q
     q = _capped(q, MAX_CYCLE_LENGTH, "q")
-    paths = []
-    for trajectory in corner_trajectories(
-        config.board, config.moves, max_points=q
-    ):
-        if len(trajectory.points) >= 2:
-            paths.append(_render_path(trajectory))
+    paths = [
+        _render_path(t)
+        for t in corner_trajectories(config.board, config.moves, q)
+        if len(t.points) >= 2
+    ]
     report = denominator(config.board, config.moves, q)
     # the picture highlights the rigid cycles of length 4 even at q < 4
     cycles = report.rigid_cycles if q >= 4 else enumerate_rigid_cycles(
         config.board, config.moves, 4
     )
     paths.extend(_render_path(t, highlight=True) for t in cycles)
-    markers = []
-    seen = set()
+    # one marker per crossing point, labelled as it first comes
+    markers = {}
     for c in report.contributions:
-        if c.category not in ("cross", "self-cross"):
-            continue
-        key = (c.point.x, c.point.y)
-        if key in seen:
-            continue
-        seen.add(key)
-        markers.append(((c.point.x, c.point.y), str(c.denominator)))
-    spec = RenderSpec(paths=tuple(paths), markers=tuple(markers))
-    _emit(render_svg(config.board, spec), args.out)
-    return 0
+        if c.category in ("cross", "self-cross"):
+            markers.setdefault((c.point.x, c.point.y), str(c.denominator))
+    spec = RenderSpec(paths=tuple(paths), markers=tuple(markers.items()))
+    return render_svg(config.board, spec)
 
 
 # ---------------------------------------------------------------------------
 # Parser wiring.
 
 
-def _add_common(sub, *, decimal=False, q=False, n_max=False, start=False):
-    sub.add_argument("--config", help="JSON problem config file")
-    sub.add_argument(
-        "--moves",
-        nargs=2,
-        metavar=("c1,d1", "c2,d2"),
-        help="the two move vectors",
-    )
-    sub.add_argument(
-        "--board",
-        help='"square" (default) or a JSON file with a corner list',
-    )
-    sub.add_argument("--out", help="output file (default: stdout)")
-    if decimal:
-        sub.add_argument(
-            "--decimal",
-            action="store_true",
-            help="add approximate decimal coordinates to JSON output",
-        )
-    if q:
-        sub.add_argument("--q", type=int, help="number of pieces")
-    if n_max:
-        sub.add_argument(
-            "--n-max", type=int, dest="n_max", help="largest board size"
-        )
-    if start:
-        sub.add_argument("--start", help="boundary start point x,y")
-        sub.add_argument(
-            "--first-move",
-            type=int,
-            choices=(1, 2),
-            dest="first_move",
-            help="move type of the first step (default 1)",
-        )
-        sub.add_argument(
-            "--max-steps", type=int, dest="max_steps",
-            help="step cap for traces",
-        )
+# Each shared flag once, with its add_argument keywords.  argparse takes
+# a flag's dest from its name, so --n-max sets the ProblemConfig field
+# n_max.
+_FLAGS = {
+    "--config": dict(help="JSON problem config file"),
+    "--moves": dict(nargs=2, metavar=("c1,d1", "c2,d2"),
+                    help="the two move vectors"),
+    "--board": dict(
+        help='"square" (default) or a JSON file with a corner list'),
+    "--out": dict(help="output file (default: stdout)"),
+    "--decimal": dict(
+        action="store_true",
+        help="add approximate decimal coordinates to JSON output"),
+    "--q": dict(type=int, help="number of pieces"),
+    "--n-max": dict(type=int, help="largest board size"),
+    "--start": dict(help="boundary start point x,y"),
+    "--first-move": dict(type=int, choices=(1, 2),
+                         help="move type of the first step (default 1)"),
+    "--max-steps": dict(type=int, help="step cap for traces"),
+}
+
+# The flags of every command that reads a problem, in help order.
+_PROBLEM = ("--config", "--moves", "--board", "--out")
 
 
 def build_parser():
@@ -659,102 +631,91 @@ def build_parser():
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
-    sub = commands.add_parser("simulate", help="exact boundary trace")
-    _add_common(sub, decimal=True, start=True)
+    def command(name, func, summary, *flags):
+        sub = commands.add_parser(name, help=summary)
+        for flag in flags:
+            sub.add_argument(flag, **_FLAGS[flag])
+        sub.set_defaults(func=func)
+        return sub
+
+    sub = command(
+        "simulate", _cmd_simulate, "exact boundary trace", *_PROBLEM,
+        "--decimal", "--start", "--first-move", "--max-steps",
+    )
     sub.add_argument(
         "--format", choices=("text", "json", "svg"), default="text"
     )
-    sub.set_defaults(func=_cmd_simulate)
 
-    sub = commands.add_parser(
-        "float-sim", help="floating-point bounce simulation"
+    sub = command(
+        "float-sim", _cmd_float_sim, "floating-point bounce simulation",
+        "--board", "--first-move", "--out",
     )
     sub.add_argument(
         "--slopes", nargs=2, metavar=("s1", "s2"), required=True,
         help="two line slopes as rationals",
     )
+    # not a problem's --start: required, and anywhere on the board
     sub.add_argument("--start", required=True, help="start point x,y")
-    sub.add_argument("--board", help='"square" or JSON corner file')
     sub.add_argument("--steps", type=int, default=1000)
     sub.add_argument("--tol", type=float, default=1e-9)
-    sub.add_argument(
-        "--first-move", type=int, choices=(1, 2), dest="first_move"
-    )
     sub.add_argument(
         "--limit",
         choices=("none", "orbit", "corner"),
         default="none",
         help="reference set for the dist column",
     )
-    sub.add_argument("--out")
-    sub.set_defaults(func=_cmd_float_sim)
 
-    sub = commands.add_parser(
-        "corner-trajectories", help="trajectories through each corner"
+    command(
+        "corner-trajectories", _cmd_corner_trajectories,
+        "trajectories through each corner (--max-steps 128 by default)",
+        *_PROBLEM, "--decimal", "--max-steps",
     )
-    _add_common(sub, decimal=True)
-    sub.add_argument(
-        "--max-steps", type=int, dest="max_steps",
-        help="step cap per trajectory (default 128)",
-    )
-    sub.set_defaults(func=_cmd_corner_trajectories)
 
-    sub = commands.add_parser(
-        "rigid-cycles", help="enumerate rigid cycles"
+    sub = command(
+        "rigid-cycles", _cmd_rigid_cycles, "enumerate rigid cycles",
+        *_PROBLEM, "--decimal",
     )
-    _add_common(sub, decimal=True)
     sub.add_argument(
-        "--max-len", type=int, default=8, dest="max_len",
+        "--max-len", type=int, default=8,
         help="largest cycle length searched",
     )
-    sub.set_defaults(func=_cmd_rigid_cycles)
 
-    sub = commands.add_parser(
-        "denominator", help="denominator of the q-piece system"
+    command(
+        "denominator", _cmd_denominator,
+        "denominator of the q-piece system", *_PROBLEM, "--decimal", "--q",
     )
-    _add_common(sub, decimal=True, q=True)
-    sub.set_defaults(func=_cmd_denominator)
-
-    sub = commands.add_parser(
-        "closed-form", help="family closed form for the denominator"
+    command(
+        "closed-form", _cmd_closed_form,
+        "family closed form for the denominator", *_PROBLEM, "--q",
     )
-    _add_common(sub, q=True)
-    sub.set_defaults(func=_cmd_closed_form)
-
-    sub = commands.add_parser(
-        "count", help="nonattacking placement counts"
+    command(
+        "count", _cmd_count, "nonattacking placement counts", *_PROBLEM,
+        "--q", "--n-max",
     )
-    _add_common(sub, q=True, n_max=True)
-    sub.set_defaults(func=_cmd_count)
-
-    sub = commands.add_parser(
-        "period", help="fit the counting quasipolynomial period"
+    sub = command(
+        "period", _cmd_period, "fit the counting quasipolynomial period",
+        *_PROBLEM, "--q", "--n-max",
     )
-    _add_common(sub, q=True, n_max=True)
     sub.add_argument("--degree", type=int, help="fit degree (default 2q)")
     sub.add_argument(
         "--period", type=int, help="test one period instead of searching"
     )
-    sub.set_defaults(func=_cmd_period)
-
-    sub = commands.add_parser(
-        "conjecture", help="compare fitted period against denominator"
+    command(
+        "conjecture", _cmd_conjecture,
+        "compare fitted period against denominator", *_PROBLEM, "--q",
+        "--n-max",
     )
-    _add_common(sub, q=True, n_max=True)
-    sub.set_defaults(func=_cmd_conjecture)
-
-    sub = commands.add_parser("render", help="SVG picture of the system")
-    _add_common(sub, q=True)
-    sub.set_defaults(func=_cmd_render)
-
+    command(
+        "render", _cmd_render, "SVG picture of the system", *_PROBLEM, "--q"
+    )
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        _emit(args.func(args), args.out)
+        return 0
     except InsufficientData as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

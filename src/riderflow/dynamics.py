@@ -25,7 +25,6 @@ from .geometry import (
     Point2,
     _from_homogeneous,
     _homogeneous,
-    parse_point,
     format_point,
 )
 
@@ -209,16 +208,14 @@ def trace(board, moves, start, first_move_type, max_points=10_000):
 def corner_trajectories(board, moves, max_points=10_000):
     """Trace from every corner with each move type first.
 
-    Returns 2n trajectories for an n-corner board, in corner order with
-    move type 1 first; coinciding ones are retained so callers can index
-    by (corner, first type).
+    Yields 2n trajectories for an n-corner board, one trace at a time,
+    in corner order with move type 1 first; coinciding ones are retained
+    so callers can index the list by (corner, first type).
     """
 
-    out = []
     for corner in board.corners:
         for move_type in (1, 2):
-            out.append(trace(board, moves, corner, move_type, max_points))
-    return out
+            yield trace(board, moves, corner, move_type, max_points)
 
 
 def augment(board, moves, trajectory):
@@ -320,24 +317,3 @@ def format_trajectory(trajectory):
     lines.extend(format_point(p) for p in trajectory.points)
     return "\n".join(lines) + "\n"
 
-
-def parse_trajectory(text):
-    lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
-    header = {}
-    body = []
-    for line in lines:
-        if "," in line:
-            body.append(parse_point(line))
-        else:
-            key, _, value = line.partition(" ")
-            header[key] = value
-    for key in ("first_move_type", "status"):
-        if key not in header:
-            raise ValueError(f"missing {key!r} header")
-    status = TrajectoryStatus(header["status"])
-    first = int(header["first_move_type"])
-    if "points" in header and int(header["points"]) != len(body):
-        raise ValueError(
-            f"header says {header['points']} points, found {len(body)}"
-        )
-    return Trajectory(tuple(body), first, status)

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import math
@@ -12,12 +13,14 @@ import pytest
 import riderflow.cli
 from riderflow import (
     Board,
+    InsufficientData,
+    InternalInvariantError,
     Point2,
     canonical_move,
     closed_form_orthogonal,
     enumerate_rigid_cycles,
+    format_trajectory,
     parse_point,
-    parse_trajectory,
     point_denominator,
     trace,
 )
@@ -32,6 +35,7 @@ from riderflow.cli import (
     MAX_PIECES,
     ParallelMoves,
     ParseError,
+    build_parser,
     main,
     parse_config,
     serialize_config,
@@ -138,7 +142,9 @@ def test_simulate_text_round_trips(capsys):
         "--start", "0,0", "--max-steps", "4",
     )
     assert code == 0
-    t = parse_trajectory(out)
+    t = trace(Board.square(), (canonical_move(2, 1), canonical_move(1, -2)),
+              Point2(0, 0), 1, max_points=5)
+    assert out == format_trajectory(t)
     assert len(t.points) == 5
     assert t.points[-1] == Point2(F(5, 16), 0)
 
@@ -224,13 +230,84 @@ def test_period_json(capsys):
     assert len(data["constituents"]) == 1
 
 
-def test_period_insufficient_data_exit(capsys):
-    code, _, err = run_cli(
-        capsys, "period", "--moves", "1,1", "1,-1", "--q", "3",
-        "--n-max", "6",
+def test_undecided_period_raises_insufficient_data():
+    args = build_parser().parse_args([
+        "period", "--moves", "2,1", "1,-2", "--q", "3", "--n-max", "12",
+    ])
+    with pytest.raises(InsufficientData) as err:
+        args.func(args)
+    # degree 6: periods 1 and 2 are tried from n = 8 and n = 16 on
+    assert err.value.required_n_max == 16
+    assert str(err.value) == (
+        "no period decidable from counts up to n = 12; extend --n-max"
     )
-    assert code == 3
-    assert "n-max" in err or "n =" in err
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["period", "--moves", "1,1", "1,-1", "--q", "3", "--n-max", "6"],
+     "error: no period decidable from counts up to n = 6; extend --n-max\n"),
+    (["period", "--moves", "1,1", "1,-1", "--q", "2", "--n-max", "10",
+      "--period", "4"],
+     "error: period 4 at degree 4 needs counts up to n = 24, have 10\n"),
+    (["period", "--moves", "2,1", "1,-2", "--q", "3", "--n-max", "12"],
+     "error: no period decidable from counts up to n = 12; extend --n-max\n"),
+    (["conjecture", "--moves", "2,1", "1,-2", "--q", "3", "--n-max", "20"],
+     "n = 160"),
+])
+def test_insufficient_data_exits_3(capsys, argv, err):
+    code, out, stderr = run_cli(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert stderr.startswith("error:") and err in stderr
+
+
+def test_internal_invariant_violation_exits_4(capsys, monkeypatch):
+    def broken(*args):
+        raise InternalInvariantError("a crossing off the board")
+
+    monkeypatch.setattr(riderflow.cli, "denominator", broken)
+    code, out, err = run_cli(
+        capsys, "denominator", "--moves", "2,1", "1,2", "--q", "2"
+    )
+    assert (code, out) == (4, "")
+    assert err == "internal invariant violated: a crossing off the board\n"
+
+
+# Each subcommand's option strings: what the shared-flag table and each
+# subcommand's own flags must keep giving it.
+OPTIONS = {
+    "simulate": ["--board", "--config", "--decimal", "--first-move",
+                 "--format", "--help", "--max-steps", "--moves", "--out",
+                 "--start", "-h"],
+    "float-sim": ["--board", "--first-move", "--help", "--limit", "--out",
+                  "--slopes", "--start", "--steps", "--tol", "-h"],
+    "corner-trajectories": ["--board", "--config", "--decimal", "--help",
+                            "--max-steps", "--moves", "--out", "-h"],
+    "rigid-cycles": ["--board", "--config", "--decimal", "--help",
+                     "--max-len", "--moves", "--out", "-h"],
+    "denominator": ["--board", "--config", "--decimal", "--help", "--moves",
+                    "--out", "--q", "-h"],
+    "closed-form": ["--board", "--config", "--help", "--moves", "--out",
+                    "--q", "-h"],
+    "count": ["--board", "--config", "--help", "--moves", "--n-max",
+              "--out", "--q", "-h"],
+    "period": ["--board", "--config", "--degree", "--help", "--moves",
+               "--n-max", "--out", "--period", "--q", "-h"],
+    "conjecture": ["--board", "--config", "--help", "--moves", "--n-max",
+                   "--out", "--q", "-h"],
+    "render": ["--board", "--config", "--help", "--moves", "--out", "--q",
+               "-h"],
+}
+
+
+def test_every_subcommand_keeps_its_options():
+    (commands,) = [
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    assert {
+        name: sorted(s for a in sub._actions for s in a.option_strings)
+        for name, sub in commands.choices.items()
+    } == OPTIONS
 
 
 def test_period_explicit_rejected(capsys):
@@ -429,7 +506,9 @@ def test_zero_max_steps_keeps_the_start(capsys):
         "--max-steps", "0",
     )
     assert code == 0
-    traj = parse_trajectory(out)
+    traj = trace(Board.square(), (canonical_move(2, 1), canonical_move(1, 2)),
+                 Point2(F(1, 3), 0), 1, max_points=1)
+    assert out == format_trajectory(traj)
     assert traj.points == (Point2(F(1, 3), 0),)
     assert traj.status.value == "truncated"
 
@@ -625,13 +704,16 @@ def test_square_only_command_rejects_another_board(
     pentagon = [["0", "0"], ["1", "0"], ["3/2", "1"], ["1/2", "2"],
                 ["-1/2", "1"]]
     square = [["0", "0"], ["1", "0"], ["1", "1"], ["0", "1"]]
+    rotated = square[1:] + square[:1]
     fields = {"moves": [[1, 1], [1, -1]], "q": 2}
     if command != "closed-form":
         fields["n_max"] = 6
     board_file = tmp_path / "board.json"
     cfg_file = tmp_path / "problem.json"
-    # the unit square written as corners is the square and passes
-    for corners, rejected in ((pentagon, True), (square, False)):
+    # the unit square written as corners, from any corner, passes
+    for corners, rejected in (
+        (pentagon, True), (square, False), (rotated, False)
+    ):
         if route == "flag":
             board_file.write_text(json.dumps({"corners": corners}))
             cfg_file.write_text(json.dumps(fields))

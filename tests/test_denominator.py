@@ -14,6 +14,7 @@ from riderflow import (
     Board,
     Point2,
     SlopeConditionViolated,
+    Trajectory,
     TrajectoryStatus,
     arrangement_of,
     attractor_orbit,
@@ -27,7 +28,6 @@ from riderflow import (
     denominator,
     inclined_crossing_point,
     matrix_rank,
-    parse_trajectory,
     trace,
     vertex_oracle,
 )
@@ -47,9 +47,9 @@ LATERAL = (canonical_move(2, 1), canonical_move(2, -1))
 
 
 def _window_b(square):
-    text = "first_move_type 1\nstatus truncated\npoints 4\n" \
-        "1,1/4\n1/2,0\n1,1\n0,1/2\n"
-    return parse_trajectory(text)
+    points = (Point2(1, F(1, 4)), Point2(F(1, 2), 0), Point2(1, 1),
+              Point2(0, F(1, 2)))
+    return Trajectory(points, 1, TrajectoryStatus.TRUNCATED)
 
 
 def test_plain_crossing(square):
