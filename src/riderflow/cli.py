@@ -529,10 +529,10 @@ def _cmd_period(args):
     config = _square_only(_resolve_config(args))
     q, n_max = _counting_sizes(config)
     series = count_series(config.moves, q, n_max)
-    degree = args.degree if args.degree is not None else 2 * q
+    degree = 2 * q
     period = args.period
     if period is None:
-        period = minimal_period(series, degree)
+        period = minimal_period(series)
         if period is None:
             # the first n at which the search can try one more period
             raise InsufficientData(
@@ -540,7 +540,7 @@ def _cmd_period(args):
                 "extend --n-max",
                 required_n_max=(n_max // (degree + 2) + 1) * (degree + 2),
             )
-    fitted = fit(series, period, degree)
+    fitted = fit(series, period)
     payload = {
         "q": q,
         "n_max": n_max,
@@ -696,7 +696,6 @@ def build_parser():
         "period", _cmd_period, "fit the counting quasipolynomial period",
         *_PROBLEM, "--q", "--n-max",
     )
-    sub.add_argument("--degree", type=int, help="fit degree (default 2q)")
     sub.add_argument(
         "--period", type=int, help="test one period instead of searching"
     )

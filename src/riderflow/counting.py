@@ -134,20 +134,21 @@ def _components(edges):
     return list(parts.values())
 
 
-def _shape(edges, classes):
-    """The flat's connected components, as a sorted tuple of classes.
+def _shape(edges, forms, labelled):
+    """The flat's connected components, as a sorted tuple of forms.
 
-    Edges are (a, ~b) for left block a and right block b, so the two
-    sides never share a vertex; classes memoizes _canonical by component
+    A vertex is the int 2 * block + side, so the two sides never share
+    one.  forms keeps the first component seen of each isomorphism class
+    as that class's form; labelled memoizes a component's form by its
     edge set.
     """
-    forms = []
+    shape = []
     for component in _components(edges):
         key = frozenset(component)
-        if key not in classes:
-            classes[key] = _canonical(key)
-        forms.append(classes[key])
-    return tuple(sorted(forms))
+        if key not in labelled:
+            labelled[key] = forms.setdefault(_canonical(key), tuple(component))
+        shape.append(labelled[key])
+    return tuple(sorted(shape))
 
 
 @cache
@@ -159,31 +160,21 @@ def _flat_table(q):
     it is paired with every move-2 partition.
     """
     seconds = [
-        ([~b for b in labels], _mobius(Counter(labels).values()))
+        ([2 * b + 1 for b in labels], _mobius(Counter(labels).values()))
         for labels in _set_partitions(q)
     ]
     table = {}
-    classes = {}
+    forms, labelled = {}, {}
     for sizes in _integer_partitions(q):
-        first = [b for b, size in enumerate(sizes) for _ in range(size)]
+        first = [2 * b for b, size in enumerate(sizes) for _ in range(size)]
         relabellings = factorial(q)
         for size, times in Counter(sizes).items():
             relabellings //= factorial(size) ** times * factorial(times)
         weight = relabellings * _mobius(sizes)
         for second, mu in seconds:
-            shape = _shape(set(zip(first, second)), classes)
+            shape = _shape(set(zip(first, second)), forms, labelled)
             table[shape] = table.get(shape, 0) + weight * mu
     return tuple((shape, w) for shape, w in table.items() if w)
-
-
-def _edges(form):
-    """A flat class's edges, as pairs of vertices (side, block)."""
-    small, masks = form
-    return [
-        ((0, i), (1, j)) if small == 0 else ((0, j), (1, i))
-        for j, mask in enumerate(masks)
-        for i in range(mask.bit_length()) if mask >> i & 1
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -242,8 +233,8 @@ def _times(weights, message):
 def _peel(edges, weight, graph):
     """Weighted homomorphisms of a connected flat into the line graph.
 
-    weight[v] weighs the lines vertex v may take; a missing or None
-    entry weighs each line 1.  Leaves are peeled first, each folding its
+    Vertex v takes the lines of side v & 1, and weight[v] weighs them;
+    a missing or None entry weighs each line 1.  Leaves are peeled first, each folding its
     weights into its neighbour's; a tree ends as one weighted vertex.  A
     2-core is opened at its vertex u of highest degree: once u sits on
     line l, each edge (u, t) only asks t to cross l, so u splits into
@@ -263,7 +254,7 @@ def _peel(edges, weight, graph):
             continue
         (v,) = adjacent.pop(leaf)
         adjacent[v].discard(leaf)
-        weight[v] = _times(weight[v], graph.push(weight.pop(leaf), leaf[0]))
+        weight[v] = _times(weight[v], graph.push(weight.pop(leaf), leaf & 1))
         if len(adjacent[v]) == 1:
             leaves.append(v)
     if len(adjacent) == 1:
@@ -273,12 +264,12 @@ def _peel(edges, weight, graph):
     parts = _components([
         e for e in edges if u not in e and adjacent.keys() >= set(e)
     ])
-    lines = len(graph.degrees[u[0]])
+    lines = len(graph.degrees[u & 1])
     total = 0
     for line, term in enumerate(weight[u] or [1] * lines):
         if not term:
             continue
-        crossing = graph.push([k == line for k in range(lines)], u[0])
+        crossing = graph.push([k == line for k in range(lines)], u & 1)
         pinned = dict(weight)
         for t in adjacent[u]:
             pinned[t] = _times(weight[t], crossing)
@@ -304,7 +295,7 @@ def count(moves, q, n):
     for shape, weight in _flat_table(q):
         for form in shape:
             if form not in homs:
-                homs[form] = _peel(_edges(form), {}, graph)
+                homs[form] = _peel(form, {}, graph)
             weight *= homs[form]
         total += weight
     placements, rest = divmod(total, factorial(q))
@@ -341,14 +332,6 @@ def _eval_poly(coeffs, n):
     return acc
 
 
-def _degree(series, degree):
-    if degree is None:
-        return 2 * series.q
-    if degree < 0:
-        raise ValueError(f"degree must be nonnegative, got {degree}")
-    return degree
-
-
 def _fits(values, period, degree):
     """Whether each residue class lies on a polynomial of degree <= degree.
 
@@ -365,19 +348,19 @@ def _fits(values, period, degree):
     return True
 
 
-def fit(series, period, degree=None):
+def fit(series, period):
     """Fit one quasipolynomial of the given period, or None if refuted.
 
-    Counts for n >= 1 are used (the empty board is not governed by the
-    counting function).  Each residue class needs degree + 2 samples;
-    _fits checks every one, and any mismatch refutes the period.  Each
-    class of an accepted period is interpolated through its first
-    degree + 1 samples.
+    The degree is 2q.  Counts for n >= 1 are used (the empty board is
+    not governed by the counting function).  Each residue class needs
+    degree + 2 samples; _fits checks every one, and any mismatch refutes
+    the period.  Each class of an accepted period is interpolated
+    through its first degree + 1 samples.
     """
 
     if period < 1:
         raise ValueError(f"period must be positive, got {period}")
-    degree = _degree(series, degree)
+    degree = 2 * series.q
     n_max = len(series.values) - 1
     needed = period * (degree + 2)
     if n_max < needed:
@@ -402,14 +385,14 @@ def evaluate_fit(fitted, n):
     return _eval_poly(fitted.constituents[n % fitted.period], n)
 
 
-def minimal_period(series, degree=None):
-    """Smallest period whose fit validates, or None when undecided.
+def minimal_period(series):
+    """Smallest period whose degree-2q fit validates, or None when undecided.
 
     None means every attemptable period was refuted by the data — the
     sequence is too short to reveal its period, not periodic-free.
     """
 
-    degree = _degree(series, degree)
+    degree = 2 * series.q
     n_max = len(series.values) - 1
     period = 1
     while period * (degree + 2) <= n_max:

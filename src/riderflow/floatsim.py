@@ -39,7 +39,8 @@ def simulate_float(
 
     slopes are the two line slopes (finite; use the exact machinery for
     vertical moves).  Stops early when the far intersection is the
-    current point (a closed end) or lands within tol of a corner.
+    current point (a closed end, as on an edge parallel to the move) or
+    lands within tol of a corner.
     """
 
     if steps < 0:
@@ -68,6 +69,9 @@ def simulate_float(
             along = nx * dx + ny * dy
             height = nx * x + ny * y - off
             if abs(along) < 1e-15:
+                if abs(height) <= tol:  # the move runs along this edge
+                    t_lo = t_hi = 0.0
+                    break
                 continue
             bound = -height / along
             if along > 0:

@@ -290,8 +290,8 @@ OPTIONS = {
                     "--q", "-h"],
     "count": ["--board", "--config", "--help", "--moves", "--n-max",
               "--out", "--q", "-h"],
-    "period": ["--board", "--config", "--degree", "--help", "--moves",
-               "--n-max", "--out", "--period", "--q", "-h"],
+    "period": ["--board", "--config", "--help", "--moves", "--n-max",
+               "--out", "--period", "--q", "-h"],
     "conjecture": ["--board", "--config", "--help", "--moves", "--n-max",
                    "--out", "--q", "-h"],
     "render": ["--board", "--config", "--help", "--moves", "--out", "--q",
@@ -437,6 +437,21 @@ def test_float_sim_csv(capsys):
     assert len(lines) == 10
     last_dist = float(lines[-1].rsplit(",", 1)[1])
     assert last_dist < 1e-3
+
+
+def test_float_sim_halts_on_an_edge_parallel_to_the_move(capsys):
+    # `simulate --moves 1,0 1,2 --start 1/3,0 --first-move 2` stops at
+    # 5/6,1 too, on the top edge that the slope-0 move runs along
+    code, out, _ = run_cli(
+        capsys, "float-sim", "--slopes", "0", "2", "--start", "1/3,0",
+        "--first-move", "2", "--steps", "5",
+    )
+    assert code == 0
+    assert out == (
+        "step,x,y,dist\n"
+        "0,0.3333333333333333,0.0,\n"
+        "1,0.8333333333333333,1.0,\n"
+    )
 
 
 def test_render_svg_output(capsys, tmp_path):
@@ -908,18 +923,9 @@ def test_render_searches_each_cycle_length_once(
     assert searched == lengths
 
 
-# each ran forever (at degree -2 every period is attemptable), accepted
-# period 1 at a negative degree, printed an empty table, exited 3 or
-# printed a closed form for a negative q
+# each printed an empty table, exited 3 or printed a closed form for a
+# negative q
 HOSTILE_SIZES = [
-    ["period", "--moves", "2,1", "1,-2", "--q", "3", "--n-max", "12",
-     "--degree", "-2"],
-    ["period", "--moves", "2,1", "1,2", "--q", "3", "--n-max", "12",
-     "--degree", "-2"],
-    ["period", "--moves", "3,1", "1,-3", "--q", "3", "--n-max", "12",
-     "--degree", "-2"],
-    ["period", "--moves", "1,1", "1,-1", "--q", "2", "--n-max", "12",
-     "--degree", "-2"],
     ["count", "--moves", "1,1", "1,-1", "--q", "2", "--n-max", "-3"],
     ["period", "--moves", "1,1", "1,-1", "--q", "2", "--n-max", "-3"],
     ["conjecture", "--moves", "1,1", "1,-1", "--q", "2", "--n-max", "-3"],

@@ -2,6 +2,7 @@ import hashlib
 import os
 import subprocess
 import sys
+from functools import cache
 from itertools import combinations
 from math import comb, factorial
 from pathlib import Path
@@ -10,12 +11,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from riderflow import (
+    Board,
     CountSeries,
     InsufficientData,
     canonical_move,
     conjecture_report,
     count,
     count_series,
+    denominator,
     evaluate_fit,
     fit,
     minimal_period,
@@ -255,8 +258,9 @@ def test_minimal_period_undecidable_on_short_series():
 
 
 def test_fit_lower_degree():
+    # degree 2 is 2q at q = 1
     series = count_series(BISHOP, 1, 8)
-    fitted = fit(series, 1, degree=2)
+    fitted = fit(series, 1)
     assert fitted is not None
     assert fitted.constituents[0] == (0, 0, 1)  # n^2 placements
 
@@ -266,7 +270,8 @@ def test_fit_lower_degree():
 def test_fit_and_minimal_period_match_the_newton_oracle(data):
     # a random integer quasipolynomial, possibly with one sample off it
     period = data.draw(st.integers(1, 4), label="period")
-    degree = data.draw(st.integers(0, 4), label="degree")
+    q = data.draw(st.integers(0, 2), label="q")
+    degree = 2 * q
     classes = data.draw(st.lists(
         st.lists(st.integers(-50, 50), min_size=degree + 1,
                  max_size=degree + 1),
@@ -283,15 +288,15 @@ def test_fit_and_minimal_period_match_the_newton_oracle(data):
     if data.draw(st.booleans(), label="perturbed"):
         n = data.draw(st.integers(0, n_max), label="n")
         values[n] += data.draw(st.sampled_from([-2, -1, 1, 2]))
-    series = CountSeries((), 0, tuple(values))
+    series = CountSeries((), q, tuple(values))
     validating = []
     for p in range(1, n_max // (degree + 2) + 1):
-        fitted = fit(series, p, degree)
+        fitted = fit(series, p)
         want = newton_fit(values, p, degree)
         assert (None if fitted is None else fitted.constituents) == want
         if want is not None:
             validating.append(p)
-    assert minimal_period(series, degree) == min(validating, default=None)
+    assert minimal_period(series) == min(validating, default=None)
 
 
 def test_conjecture_report_bishop_pairs():
@@ -318,18 +323,78 @@ def test_orthogonal_q3_period_equals_denominator():
     assert report.equal
 
 
+# The count is a quasipolynomial in n of degree 2q, and its period p
+# divides the denominator D (Beck-Zaslavsky).  If p divides a step s, the
+# samples count(t + k*s), k = 0 ... 2q + 1, lie in one residue class, on
+# one polynomial of degree <= 2q, so their (2q + 1)-th difference
+# vanishes for every t >= 1.  At s = D this checks the engine's D against
+# the counter.  At s = D/l for a prime l | D, a nonzero difference proves
+# p does not divide D/l; as p | D, that for every prime of D proves p = D.
+SQUARE_PAIRS = canonical_move_pairs(2)
+
+
+@cache
+def _square_count(moves, q, n):
+    return count(moves, q, n)
+
+
+@cache
+def _square_denominator(moves, q):
+    return denominator(Board.square(), moves, q).value
+
+
+def _step_difference(moves, q, t, step):
+    return sum(
+        (-1) ** k * comb(2 * q + 1, k) * _square_count(moves, q, t + k * step)
+        for k in range(2 * q + 2)
+    )
+
+
+def _primes(d):
+    primes, p = [], 2
+    while d > 1:
+        if d % p == 0:
+            primes.append(p)
+            while d % p == 0:
+                d //= p
+        p += 1
+    return primes
+
+
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_counts_repeat_with_the_denominator_as_step(q):
+    # t = 2 alone catches INC at q = 3 with D halved; keep all three
+    nonzero = [
+        (moves, t)
+        for moves in SQUARE_PAIRS
+        for t in (1, 2, 3)
+        if _step_difference(moves, q, t, _square_denominator(moves, q))
+    ]
+    assert len(SQUARE_PAIRS) == 28
+    assert nonzero == []
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_period_equals_the_denominator_by_prime_steps(q):
+    uncertified = [
+        (moves, prime)
+        for moves in SQUARE_PAIRS
+        for d in [_square_denominator(moves, q)]
+        for prime in _primes(d)
+        if not any(
+            _step_difference(moves, q, t, d // prime) for t in (1, 2)
+        )
+    ]
+    assert uncertified == []
+
+
 def test_conjecture_report_needs_data():
     with pytest.raises(InsufficientData):
         conjecture_report(BISHOP, 3, 6)
 
 
 def test_negative_sizes_are_rejected():
-    series = count_series(BISHOP, 2, 12)
     with pytest.raises(ValueError):
         count(BISHOP, 2, -1)
     with pytest.raises(ValueError):
         count_series(BISHOP, 2, -3)
-    with pytest.raises(ValueError):
-        fit(series, 1, -1)
-    with pytest.raises(ValueError):
-        minimal_period(series, -2)

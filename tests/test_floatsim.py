@@ -31,6 +31,25 @@ def test_halt_detected(square):
     assert len(path.points) == 1
 
 
+def test_halt_on_an_edge_parallel_to_the_move():
+    # the slope-0 move from (1/2, 1) runs along the top edge; the exact
+    # dynamics stop there, so the float path must not slide along it
+    board = Board.from_corners([(0, 0), (2, 0), (2, 1), (0, 1)])
+    exact = trace(
+        board, (canonical_move(1, 0), canonical_move(2, 1)),
+        Point2(F(1, 2), F(0)), 2,
+    )
+    path = simulate_float(board, (0.0, 0.5), (0.5, 0.0), 2, steps=10)
+    assert [(float(p.x), float(p.y)) for p in exact.points] == [
+        (0.5, 0.0), (2.0, 0.75), (0.0, 0.75), (0.5, 1.0)
+    ]
+    assert len(path.points) == len(exact.points)
+    for (x, y), p in zip(path.points, exact.points):
+        assert abs(x - float(p.x)) < 1e-12 and abs(y - float(p.y)) < 1e-12
+    assert path.stopped
+    assert path.stop_reason == "halt"
+
+
 def test_periodic_square_orbit(square):
     path = simulate_float(square, (1.0, -1.0), (0.25, 0.0), steps=40)
     assert not path.stopped
