@@ -21,6 +21,7 @@ from riderflow import (
     RenderSpec,
     attractor_orbit,
     canonical_move,
+    distances,
     render_svg,
     simulate_float,
     trace,
@@ -69,33 +70,26 @@ def main():
         rows = []
         tails = []
         for sx, sy in STARTS:
-            run_corner = simulate_float(
-                board, slopes, (sx, sy), steps=args.steps,
-                limit_set=corner_set,
+            run = simulate_float(board, slopes, (sx, sy), steps=args.steps)
+            to_corner = distances(run.points, corner_set)
+            to_orbit = (
+                distances(run.points, orbit_set)
+                if orbit_set is not None else None
             )
-            run_orbit = None
-            if orbit_set is not None:
-                run_orbit = simulate_float(
-                    board, slopes, (sx, sy), steps=args.steps,
-                    limit_set=orbit_set,
-                )
-            for i, (x, y) in enumerate(run_corner.points):
+            for i, (x, y) in enumerate(run.points):
                 rows.append(
                     {
                         "start_x": sx,
                         "step": i,
                         "x": repr(x),
                         "y": repr(y),
-                        "dist_corner_set": repr(run_corner.distances[i]),
+                        "dist_corner_set": repr(to_corner[i]),
                         "dist_orbit": (
-                            repr(run_orbit.distances[i])
-                            if run_orbit is not None
-                            and i < len(run_orbit.points)
-                            else ""
+                            repr(to_orbit[i]) if to_orbit is not None else ""
                         ),
                     }
                 )
-            tails.append(run_corner.points[-min(16, len(run_corner.points)):])
+            tails.append(run.points[-min(16, len(run.points)):])
 
         csv_path = out / f"{label}.csv"
         with csv_path.open("w", newline="") as handle:

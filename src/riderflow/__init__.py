@@ -67,7 +67,7 @@ from .counting import (
     fit,
     minimal_period,
 )
-from .floatsim import FloatPath, simulate_float
+from .floatsim import FloatPath, distances, simulate_float
 from .svgrender import RenderPath, RenderSpec, render_svg
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -16,6 +16,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass, fields
+from functools import cache
 from math import lcm
 from pathlib import Path
 
@@ -40,7 +41,7 @@ from .dynamics import (
     format_trajectory,
     trace,
 )
-from .floatsim import simulate_float
+from .floatsim import distances, simulate_float
 from .geometry import (
     Board,
     InternalInvariantError,
@@ -113,7 +114,7 @@ class ProblemConfig:
     n_max: int | None = None
     start: Point2 | None = None
     first_move: int = 1
-    max_steps: int = MAX_STEPS
+    max_steps: int | None = None
 
 
 # The fields of a problem, as config keys and as the dests of their flags.
@@ -177,12 +178,12 @@ def _json_object(text):
     return data
 
 
-def parse_config(text, max_steps=MAX_STEPS):
-    """Problem config from JSON text; max_steps is the cap if it has none."""
-    return _problem(_json_object(text), max_steps)
+def parse_config(text):
+    """Problem config from JSON text."""
+    return _problem(_json_object(text))
 
 
-def _problem(data, max_steps):
+def _problem(data):
     """The one validator of a problem's fields, from a file or flags."""
     unknown = set(data) - set(_FIELDS)
     if unknown:
@@ -212,7 +213,10 @@ def _problem(data, max_steps):
         n_max=None if n_max is None else _int(n_max, "n_max"),
         start=start,
         first_move=first_move,
-        max_steps=_int(data.get("max_steps", max_steps), "max_steps"),
+        max_steps=(
+            None if "max_steps" not in data
+            else _int(data["max_steps"], "max_steps")
+        ),
     )
 
 
@@ -236,7 +240,8 @@ def serialize_config(config):
     if config.start is not None:
         data["start"] = [str(config.start.x), str(config.start.y)]
     data["first_move"] = config.first_move
-    data["max_steps"] = config.max_steps
+    if config.max_steps is not None:
+        data["max_steps"] = config.max_steps
     return json.dumps(data, indent=2) + "\n"
 
 
@@ -249,11 +254,8 @@ def _board_value(text):
     return text if text == "square" else json.loads(Path(text).read_text())
 
 
-def _resolve_config(args, max_steps=MAX_STEPS):
-    """The config file's fields with each given flag laid over them.
-
-    max_steps is the command's cap when neither gives one.
-    """
+def _resolve_config(args):
+    """The config file's fields with each given flag laid over them."""
     data = _json_object(Path(args.config).read_text()) if args.config else {}
     for name in _FIELDS:
         value = getattr(args, name, None)
@@ -264,7 +266,7 @@ def _resolve_config(args, max_steps=MAX_STEPS):
         elif name == "moves":
             value = [text.split(",") for text in value]
         data[name] = value
-    return _problem(data, max_steps)
+    return _problem(data)
 
 
 def _capped(value, cap, name):
@@ -284,13 +286,13 @@ def _square_only(config):
     return config
 
 
-def _trace_points(config):
-    """The max_points of a trace capped at config.max_steps steps."""
-    if config.max_steps < 0:
-        raise ParseError(
-            f"max_steps must be at least 0, got {config.max_steps}"
-        )
-    return _capped(config.max_steps, MAX_STEPS, "max_steps") + 1
+def _trace_points(config, steps=MAX_STEPS):
+    """max_points for config.max_steps steps, or the command's `steps`."""
+    if config.max_steps is not None:
+        steps = config.max_steps
+    if steps < 0:
+        raise ParseError(f"max_steps must be at least 0, got {steps}")
+    return _capped(steps, MAX_STEPS, "max_steps") + 1
 
 
 def _counting_sizes(config):
@@ -400,19 +402,19 @@ def _cmd_float_sim(args):
         (start.x, start.y),
         first_move_type=args.first_move or 1,
         steps=_capped(args.steps, MAX_FLOAT_STEPS, "--steps"),
-        limit_set=limit_set,
         tol=args.tol,
     )
+    dists = None if limit_set is None else distances(path.points, limit_set)
     rows = ["step,x,y,dist"]
     for i, (x, y) in enumerate(path.points):
-        dist = "" if path.distances is None else repr(path.distances[i])
+        dist = "" if dists is None else repr(dists[i])
         rows.append(f"{i},{x!r},{y!r},{dist}")
     return "\n".join(rows) + "\n"
 
 
 def _cmd_corner_trajectories(args):
-    config = _resolve_config(args, max_steps=128)
-    board, max_points = config.board, _trace_points(config)
+    config = _resolve_config(args)
+    board, max_points = config.board, _trace_points(config, steps=128)
     _capped(2 * len(board.corners) * max_points, MAX_CORNER_POINTS,
             "2 * corners * (max_steps + 1)")
 
@@ -481,32 +483,23 @@ def _cmd_denominator(args):
     return _json_text(payload)
 
 
-def _detect_family(moves):
+def _closed_form(moves, q):
+    """(family, parameters, value) of the closed form that covers moves."""
     a, b = sorted(moves)
     if a.c == 1 and a.d <= -2 and b.c == -a.d and b.d == 1:
-        return "orthogonal", {"m": -a.d}
+        return "orthogonal", {"m": -a.d}, closed_form_orthogonal(-a.d, q)
     if a.c == b.c and a.d == -b.d and b.d > 0:
-        return "mirror", {"c": b.c, "d": b.d}
+        return "mirror", {"c": b.c, "d": b.d}, closed_form_mirror(b.c, b.d, q)
     if a.c > 0 and a.d > 0 and b.c > 0 and b.d > 0:
-        return "inclined", {"slopes": [str(m.slope()) for m in (a, b)]}
-    return None, None
+        params = {"slopes": [str(m.slope()) for m in (a, b)]}
+        return "inclined", params, closed_form_inclined(moves, q)
+    raise ParseError(f"no closed form covers moves {moves[0]}, {moves[1]}")
 
 
 def _cmd_closed_form(args):
     config = _square_only(_resolve_config(args))
     q = _capped(_require(config.q, "--q"), MAX_CLOSED_FORM_Q, "q")
-    family, params = _detect_family(config.moves)
-    if family == "orthogonal":
-        value = closed_form_orthogonal(params["m"], q)
-    elif family == "mirror":
-        value = closed_form_mirror(params["c"], params["d"], q)
-    elif family == "inclined":
-        value = closed_form_inclined(config.moves, q)
-    else:
-        raise ParseError(
-            f"no closed form covers moves {config.moves[0]}, "
-            f"{config.moves[1]}"
-        )
+    family, params, value = _closed_form(config.moves, q)
     payload = {
         "family": family,
         "parameters": params,
@@ -624,6 +617,8 @@ _FLAGS = {
 _PROBLEM = ("--config", "--moves", "--board", "--out")
 
 
+# built once per process; help wraps to the terminal when it is printed
+@cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="riderflow",

@@ -37,8 +37,8 @@ from .geometry import (
 from .dynamics import (
     TrajectoryStatus,
     augment,
+    corner_trajectories,
     partition_into_trajectories,
-    trace,
 )
 from .arrangement import (
     _attack_normal,
@@ -85,21 +85,20 @@ def _chords(segments):
     return tuple((*line_through(p, q), t) for p, q, t in segments)
 
 
-def _interior_crossings(board, pairs):
-    """(key, point) for each pair of chords that cross in the interior.
+def _crossing(board, chord_a, chord_b):
+    """The interior point where two chords cross, or None.
 
-    `pairs` yields (key, chord, chord).  Chords of equal move type are
-    parallel; two of different types cross where their lines meet, if
-    that point is interior.  (`trace` stops on a move along an edge, so
-    no chord lies on an edge line: a chord without its ends is interior.)
+    Chords of one move type are parallel.  (`trace` stops on a move
+    along an edge, so no chord lies on an edge line: a chord without its
+    ends is interior.)
     """
-    for key, (a1, b1, c1, t1), (a2, b2, c2, t2) in pairs:
-        if t1 == t2:
-            continue
-        det = a1 * b2 - a2 * b1  # Cramer's rule on the two integer rows
-        pt = _from_homogeneous(c1 * b2 - c2 * b1, a1 * c2 - a2 * c1, det)
-        if board.interior_contains(pt):
-            yield key, pt
+    a1, b1, c1, t1 = chord_a
+    a2, b2, c2, t2 = chord_b
+    if t1 == t2:
+        return None
+    det = a1 * b2 - a2 * b1  # Cramer's rule on the two integer rows
+    pt = _from_homogeneous(c1 * b2 - c2 * b1, a1 * c2 - a2 * c1, det)
+    return pt if board.interior_contains(pt) else None
 
 
 def crossing_points(board, a, b=None):
@@ -115,10 +114,10 @@ def crossing_points(board, a, b=None):
     else:
         chords_b = _chords(b.segments())
         indices = product(range(len(chords_a)), range(len(chords_b)))
-    pairs = (((i, j), chords_a[i], chords_b[j]) for i, j in indices)
     return [
         CrossingPoint(pt, i, j)
-        for (i, j), pt in _interior_crossings(board, pairs)
+        for i, j in indices
+        if (pt := _crossing(board, chords_a[i], chords_b[j])) is not None
     ]
 
 
@@ -176,16 +175,15 @@ def _cycle_flow(trajectory, anchored):
 def _corner_flows(board, moves, q):
     """Per corner: its flow and its trajectory points within q steps."""
     out = []
-    for corner in board.corners:
-        fwd = trace(board, moves, corner, 1, max_points=q)
+    traces = corner_trajectories(board, moves, q)
+    for fwd, bwd in zip(traces, traces):
         if fwd.status is TrajectoryStatus.CYCLIC:
             out.append((_cycle_flow(fwd, anchored=True), fwd.points))
             continue
-        bwd = trace(board, moves, corner, 2, max_points=q)
         if bwd.status is TrajectoryStatus.CYCLIC:
             raise InternalInvariantError(
-                f"backward trace from {corner} closed a cycle the forward "
-                "trace missed"
+                f"backward trace from {fwd.points[0]} closed a cycle the "
+                "forward trace missed"
             )
         # backward segment k joins positions -k and -k - 1
         positions = [(i,) for i in range(len(fwd) - 1)]
@@ -205,7 +203,8 @@ def denominator(board, moves, q):
     contributions = {}
 
     def add(category, point):
-        contributions[(category, point)] = point_denominator(point)
+        if point is not None:  # None: two chords that do not cross
+            contributions[(category, point)] = point_denominator(point)
 
     flows = []
     cycles = ()
@@ -222,23 +221,17 @@ def denominator(board, moves, q):
 
     budget = q - 1
     for flow in flows:
-        pairs = (
-            (None, flow.chords[i], flow.chords[j])
-            for (i, j), cost in flow.pair_cost.items()
-            if cost <= budget
-        )
-        for _, pt in _interior_crossings(board, pairs):
-            add("self-cross", pt)
+        chords = flow.chords
+        for (i, j), cost in flow.pair_cost.items():
+            if cost <= budget:
+                add("self-cross", _crossing(board, chords[i], chords[j]))
     for fa, fb in combinations(flows, 2):
-        pairs = (
-            (None, ca, cb)
-            for ca, cost_a in zip(fa.chords, fa.cost)
-            if cost_a < budget
-            for cb, cost_b in zip(fb.chords, fb.cost)
-            if cost_a + cost_b <= budget
-        )
-        for _, pt in _interior_crossings(board, pairs):
-            add("cross", pt)
+        for ca, cost_a in zip(fa.chords, fa.cost):
+            if cost_a >= budget:
+                continue
+            for cb, cost_b in zip(fb.chords, fb.cost):
+                if cost_a + cost_b <= budget:
+                    add("cross", _crossing(board, ca, cb))
 
     value = 1
     for den in contributions.values():

@@ -17,13 +17,16 @@ from math import gcd, hypot, inf
 @dataclass(frozen=True)
 class FloatPath:
     points: tuple  # (x, y) float pairs, start included
-    stopped: bool
     stop_reason: str | None  # "halt" | "corner" | None
-    distances: tuple | None  # min distance to limit_set, per point
 
 
-def _min_distance(x, y, limit_set):
-    return min(hypot(x - lx, y - ly) for lx, ly in limit_set)
+def distances(points, limit_set):
+    """Each point's distance to the nearest point of limit_set."""
+    reference = [(float(x), float(y)) for x, y in limit_set]
+    return tuple(
+        min(hypot(x - lx, y - ly) for lx, ly in reference)
+        for x, y in points
+    )
 
 
 def simulate_float(
@@ -32,7 +35,6 @@ def simulate_float(
     start,
     first_move_type=1,
     steps=1000,
-    limit_set=None,
     tol=1e-9,
 ):
     """Bounce from start for at most the given number of steps.
@@ -53,14 +55,8 @@ def simulate_float(
         edges.append((a / g, b / g, c / g))
     corners = [(float(c.x), float(c.y)) for c in board.corners]
     x, y = float(start[0]), float(start[1])
-    reference = None
-    if limit_set is not None:
-        reference = [(float(p[0]), float(p[1])) for p in limit_set]
-
     points = [(x, y)]
-    dists = [_min_distance(x, y, reference)] if reference else None
     move_type = first_move_type
-    stopped = False
     reason = None
     for _ in range(steps):
         dx, dy = dirs[move_type - 1]
@@ -80,21 +76,12 @@ def simulate_float(
                 t_hi = min(t_hi, bound)
         t = t_lo if abs(t_lo) > abs(t_hi) else t_hi
         if abs(t) <= tol:
-            stopped = True
             reason = "halt"
             break
         x, y = x + t * dx, y + t * dy
         points.append((x, y))
-        if dists is not None:
-            dists.append(_min_distance(x, y, reference))
         move_type = 3 - move_type
         if min(hypot(x - cx, y - cy) for cx, cy in corners) <= tol:
-            stopped = True
             reason = "corner"
             break
-    return FloatPath(
-        tuple(points),
-        stopped,
-        reason,
-        tuple(dists) if dists is not None else None,
-    )
+    return FloatPath(tuple(points), reason)

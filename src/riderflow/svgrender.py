@@ -14,6 +14,7 @@ _TYPE1_COLOR = "#1f77b4"
 _TYPE2_COLOR = "#d62728"
 _HIGHLIGHT_COLOR = "#2ca02c"
 _MARKER_COLOR = "#ff7f0e"
+_CANVAS = 640  # the longer side of the picture, margins included
 
 
 @dataclass(frozen=True)
@@ -28,7 +29,6 @@ class RenderPath:
 class RenderSpec:
     paths: tuple = ()
     markers: tuple = ()  # (point, label) pairs
-    canvas: int = 640
 
 
 def _fmt(value):
@@ -44,7 +44,7 @@ def render_svg(board, spec):
     width = max_x - min_x
     height = max_y - min_y
     margin = 40
-    scale = (spec.canvas - 2 * margin) / max(width, height)
+    scale = (_CANVAS - 2 * margin) / max(width, height)
     canvas_w = 2 * margin + float(width * scale)
     canvas_h = 2 * margin + float(height * scale)
 

@@ -29,6 +29,7 @@ from riderflow import (
     count_series,
     crossing_points,
     denominator,
+    distances,
     enumerate_rigid_cycles,
     fit,
     minimal_period,
@@ -242,10 +243,8 @@ def test_criterion_7_dynamics_properties():
             assert landed.y - origin.y == shrink * (b.y - origin.y), k
 
         orbit = [(float(p.x), float(p.y)) for p in attractor_orbit(m1, m2)]
-        path = simulate_float(
-            SQUARE, (0.2, -3.0), (0.55, 0.0), steps=400, limit_set=orbit
-        )
-        assert min(path.distances[-10:]) < 1e-6
+        path = simulate_float(SQUARE, (0.2, -3.0), (0.55, 0.0), steps=400)
+        assert min(distances(path.points, orbit)[-10:]) < 1e-6
 
         corner_limit = trace(
             SQUARE,
@@ -255,10 +254,10 @@ def test_criterion_7_dynamics_properties():
         )
         limit = [(float(p.x), float(p.y)) for p in corner_limit.points]
         path = simulate_float(
-            SQUARE, (0.3, -0.4), (0.61, 0.0), steps=2000,
-            limit_set=limit, tol=1e-12,
+            SQUARE, (0.3, -0.4), (0.61, 0.0), steps=2000, tol=1e-12
         )
-        tail = path.distances[min(60, len(path.distances) - 1):]
+        dists = distances(path.points, limit)
+        tail = dists[min(60, len(dists) - 1):]
         assert min(tail) < 1e-6
 
 

@@ -57,7 +57,7 @@ def test_parse_config_square():
     cfg = parse_config('{"board": "square", "moves": [[2, 1], [1, -2]]}')
     assert cfg.board == Board.square()
     assert [(m.c, m.d) for m in cfg.moves] == [(2, 1), (1, -2)]
-    assert cfg.first_move == 1 and cfg.max_steps == 10_000
+    assert cfg.first_move == 1 and cfg.max_steps is None
 
 
 def test_parse_config_explicit_board_and_start():

@@ -4,7 +4,7 @@ import subprocess
 import sys
 from functools import cache
 from itertools import combinations
-from math import comb, factorial
+from math import comb, factorial, inf
 from pathlib import Path
 
 import pytest
@@ -374,17 +374,29 @@ def test_counts_repeat_with_the_denominator_as_step(q):
     assert nonzero == []
 
 
-@pytest.mark.parametrize("q", [2, 3])
+# per q, the largest D whose prime steps are checked and how many pairs
+# that leaves: the two D = 120 pairs at q = 4 count past n = 300
+PRIME_STEP_PAIRS = {2: (inf, 28), 3: (inf, 28), 4: (24, 26)}
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
 def test_period_equals_the_denominator_by_prime_steps(q):
-    uncertified = [
-        (moves, prime)
+    largest_d, checked = PRIME_STEP_PAIRS[q]
+    pairs = [
+        (moves, d)
         for moves in SQUARE_PAIRS
         for d in [_square_denominator(moves, q)]
+        if d <= largest_d
+    ]
+    uncertified = [
+        (moves, prime)
+        for moves, d in pairs
         for prime in _primes(d)
         if not any(
             _step_difference(moves, q, t, d // prime) for t in (1, 2)
         )
     ]
+    assert len(pairs) == checked
     assert uncertified == []
 
 

@@ -356,6 +356,17 @@ def test_orthogonal_odd_m_vertex_with_denominator_40(square):
     assert denominator(square, moves, 6).value % 40 == 0
 
 
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_orthogonal_engine_values(square, m):
+    # closed_form_orthogonal takes lcm(m² + 1, m + 1) where the engine
+    # has the product; the two share the factor 2 for odd m
+    moves = (canonical_move(m, 1), canonical_move(1, -m))
+    for q in range(6, 10):
+        value = denominator(square, moves, q).value
+        assert value == (m * m + 1) * (m + 1) * m ** (q - 1), q
+        assert value == (2 if m % 2 else 1) * closed_form_orthogonal(m, q)
+
+
 @given(st.integers(1, 4), st.integers(1, 6))
 @settings(max_examples=40, deadline=None)
 def test_window_points_all_divide_denominator(cap, qval):

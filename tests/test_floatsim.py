@@ -7,6 +7,7 @@ from riderflow import (
     RenderSpec,
     attractor_orbit,
     canonical_move,
+    distances,
     render_svg,
     simulate_float,
     trace,
@@ -26,7 +27,6 @@ def test_halt_detected(square):
     # moving with slope 1 out of the corner-adjacent point (1, 0) pins
     # the line parameter to zero in both directions
     path = simulate_float(square, (1.0, -1.0), (1.0, 0.0), steps=10)
-    assert path.stopped
     assert path.stop_reason == "halt"
     assert len(path.points) == 1
 
@@ -46,13 +46,12 @@ def test_halt_on_an_edge_parallel_to_the_move():
     assert len(path.points) == len(exact.points)
     for (x, y), p in zip(path.points, exact.points):
         assert abs(x - float(p.x)) < 1e-12 and abs(y - float(p.y)) < 1e-12
-    assert path.stopped
     assert path.stop_reason == "halt"
 
 
 def test_periodic_square_orbit(square):
     path = simulate_float(square, (1.0, -1.0), (0.25, 0.0), steps=40)
-    assert not path.stopped
+    assert path.stop_reason is None
     xs = [p[0] for p in path.points[::4]]
     assert all(abs(x - 0.25) < 1e-9 for x in xs)
 
@@ -60,12 +59,11 @@ def test_periodic_square_orbit(square):
 def test_convergence_to_attractor_orbit(square):
     orbit = attractor_orbit(F(1, 5), F(-3))
     limit = [(float(p.x), float(p.y)) for p in orbit]
-    path = simulate_float(
-        square, (0.2, -3.0), (0.6, 0.0), steps=120, limit_set=limit
-    )
-    assert path.distances is not None
-    assert min(path.distances[-8:]) < 1e-12
-    assert path.distances[4] < path.distances[0]
+    path = simulate_float(square, (0.2, -3.0), (0.6, 0.0), steps=120)
+    dists = distances(path.points, limit)
+    assert len(dists) == len(path.points)
+    assert min(dists[-8:]) < 1e-12
+    assert dists[4] < dists[0]
 
 
 def test_corner_stop_for_mixed_slopes(square):
@@ -74,21 +72,10 @@ def test_corner_stop_for_mixed_slopes(square):
     corner_path = trace(square, moves, Point2(0, 0), 1)
     limit = [(float(p.x), float(p.y)) for p in corner_path.points]
     path = simulate_float(
-        square,
-        (0.3, -0.4),
-        (0.55, 0.0),
-        steps=2000,
-        limit_set=limit,
-        tol=1e-9,
+        square, (0.3, -0.4), (0.55, 0.0), steps=2000, tol=1e-9
     )
-    assert path.stopped
     assert path.stop_reason == "corner"
-    assert min(path.distances[-6:]) < 1e-6
-
-
-def test_distances_absent_without_limit_set(square):
-    path = simulate_float(square, (0.2, -3.0), (0.6, 0.0), steps=5)
-    assert path.distances is None
+    assert min(distances(path.points, limit)[-6:]) < 1e-6
 
 
 # -- SVG rendering ----------------------------------------------------------
