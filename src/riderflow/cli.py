@@ -402,7 +402,6 @@ def _cmd_float_sim(args):
         (start.x, start.y),
         first_move_type=args.first_move or 1,
         steps=_capped(args.steps, MAX_FLOAT_STEPS, "--steps"),
-        tol=args.tol,
     )
     dists = None if limit_set is None else distances(path.points, limit_set)
     rows = ["step,x,y,dist"]
@@ -522,22 +521,16 @@ def _cmd_period(args):
     config = _square_only(_resolve_config(args))
     q, n_max = _counting_sizes(config)
     series = count_series(config.moves, q, n_max)
-    degree = 2 * q
     period = args.period
     if period is None:
-        period = minimal_period(series)
-        if period is None:
-            # the first n at which the search can try one more period
-            raise InsufficientData(
-                f"no period decidable from counts up to n = {n_max}; "
-                "extend --n-max",
-                required_n_max=(n_max // (degree + 2) + 1) * (degree + 2),
-            )
+        # an undecided search leaves the first period it could not try,
+        # whose fit says how far the counts must reach
+        period = minimal_period(series) or n_max // (2 * q + 2) + 1
     fitted = fit(series, period)
     payload = {
         "q": q,
         "n_max": n_max,
-        "degree": degree,
+        "degree": 2 * q,
         "period": period,
         "accepted": fitted is not None,
     }
@@ -567,13 +560,13 @@ def _cmd_conjecture(args):
 def _cmd_render(args):
     config = _resolve_config(args)
     q = 4 if config.q is None else config.q
+    if q < 1:
+        raise ParseError(f"q must be at least 1, got {q}")
     q = _capped(q, MAX_CYCLE_LENGTH, "q")
-    paths = [
-        _render_path(t)
-        for t in corner_trajectories(config.board, config.moves, q)
-        if len(t.points) >= 2
-    ]
     report = denominator(config.board, config.moves, q)
+    paths = [
+        _render_path(t) for t in report.corner_windows if len(t.points) >= 2
+    ]
     # the picture highlights the rigid cycles of length 4 even at q < 4
     cycles = report.rigid_cycles if q >= 4 else enumerate_rigid_cycles(
         config.board, config.moves, 4
@@ -652,7 +645,6 @@ def build_parser():
     # not a problem's --start: required, and anywhere on the board
     sub.add_argument("--start", required=True, help="start point x,y")
     sub.add_argument("--steps", type=int, default=1000)
-    sub.add_argument("--tol", type=float, default=1e-9)
     sub.add_argument(
         "--limit",
         choices=("none", "orbit", "corner"),

@@ -422,11 +422,9 @@ def conjecture_report(moves, q, n_max):
     report = denominator(Board.square(), moves, q)
     period = minimal_period(series)
     if period is None:
-        raise InsufficientData(
-            f"no period up to the data limit fits; extending counts to "
-            f"n = {report.value * (2 * q + 2)} would cover the "
-            f"denominator itself",
-            required_n_max=report.value * (2 * q + 2),
+        fit(series, report.value)  # raises if D could not be tried
+        raise InternalInvariantError(
+            f"counts up to n = {n_max} refute the denominator {report.value}"
         )
     if report.value % period != 0:
         raise InternalInvariantError(

@@ -77,6 +77,7 @@ class DenominatorReport:
     value: int
     contributions: tuple
     rigid_cycles: tuple  # the rigid cycles of length at most q
+    corner_windows: tuple  # corner_trajectories(board, moves, q); () at q = 0
 
 
 def _chords(segments):
@@ -172,11 +173,10 @@ def _cycle_flow(trajectory, anchored):
     return _flow(trajectory.segments(), positions, l)
 
 
-def _corner_flows(board, moves, q):
-    """Per corner: its flow and its trajectory points within q steps."""
+def _corner_flows(windows):
+    """Per corner: its flow and points, from its two windows in turn."""
     out = []
-    traces = corner_trajectories(board, moves, q)
-    for fwd, bwd in zip(traces, traces):
+    for fwd, bwd in zip(windows[::2], windows[1::2]):
         if fwd.status is TrajectoryStatus.CYCLIC:
             out.append((_cycle_flow(fwd, anchored=True), fwd.points))
             continue
@@ -207,9 +207,10 @@ def denominator(board, moves, q):
             contributions[(category, point)] = point_denominator(point)
 
     flows = []
-    cycles = ()
+    windows = cycles = ()
     if q >= 1:
-        for flow, points in _corner_flows(board, moves, q):
+        windows = tuple(corner_trajectories(board, moves, q))
+        for flow, points in _corner_flows(windows):
             flows.append(flow)
             for p in points:
                 add("corner-trajectory-point", p)
@@ -240,7 +241,7 @@ def denominator(board, moves, q):
         Contribution(cat, pt, den)
         for (cat, pt), den in sorted(contributions.items())
     )
-    return DenominatorReport(q, value, report, cycles)
+    return DenominatorReport(q, value, report, cycles, windows)
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,14 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import riderflow.cli
+import riderflow.counting
 from riderflow import (
     Board,
     InsufficientData,
@@ -18,6 +20,8 @@ from riderflow import (
     Point2,
     canonical_move,
     closed_form_orthogonal,
+    conjecture_report,
+    corner_trajectories,
     enumerate_rigid_cycles,
     format_trajectory,
     parse_point,
@@ -239,18 +243,18 @@ def test_undecided_period_raises_insufficient_data():
     # degree 6: periods 1 and 2 are tried from n = 8 and n = 16 on
     assert err.value.required_n_max == 16
     assert str(err.value) == (
-        "no period decidable from counts up to n = 12; extend --n-max"
+        "period 2 at degree 6 needs counts up to n = 16, have 12"
     )
 
 
 @pytest.mark.parametrize("argv, err", [
     (["period", "--moves", "1,1", "1,-1", "--q", "3", "--n-max", "6"],
-     "error: no period decidable from counts up to n = 6; extend --n-max\n"),
+     "error: period 1 at degree 6 needs counts up to n = 8, have 6\n"),
     (["period", "--moves", "1,1", "1,-1", "--q", "2", "--n-max", "10",
       "--period", "4"],
      "error: period 4 at degree 4 needs counts up to n = 24, have 10\n"),
     (["period", "--moves", "2,1", "1,-2", "--q", "3", "--n-max", "12"],
-     "error: no period decidable from counts up to n = 12; extend --n-max\n"),
+     "error: period 2 at degree 6 needs counts up to n = 16, have 12\n"),
     (["conjecture", "--moves", "2,1", "1,-2", "--q", "3", "--n-max", "20"],
      "n = 160"),
 ])
@@ -272,6 +276,27 @@ def test_internal_invariant_violation_exits_4(capsys, monkeypatch):
     assert err == "internal invariant violated: a crossing off the board\n"
 
 
+def test_counts_that_refute_the_denominator_exit_4(capsys, monkeypatch):
+    # halved, INC's D at q = 3 is 6; counts to n = 60 reach 6 * 8 and
+    # refute it, so more counts cannot help: the engine or counter is wrong
+    real = riderflow.counting.denominator
+
+    def halved(board, moves, q):
+        report = real(board, moves, q)
+        return replace(report, value=report.value // 2)
+
+    monkeypatch.setattr(riderflow.counting, "denominator", halved)
+    inc = (canonical_move(2, 1), canonical_move(1, 2))
+    with pytest.raises(InternalInvariantError):
+        conjecture_report(inc, 3, 60)
+    code, out, err = run_cli(
+        capsys, "conjecture", "--moves", "2,1", "1,2", "--q", "3",
+        "--n-max", "60",
+    )
+    assert (code, out) == (4, "")
+    assert err.startswith("internal invariant violated:")
+
+
 # Each subcommand's option strings: what the shared-flag table and each
 # subcommand's own flags must keep giving it.
 OPTIONS = {
@@ -279,7 +304,7 @@ OPTIONS = {
                  "--format", "--help", "--max-steps", "--moves", "--out",
                  "--start", "-h"],
     "float-sim": ["--board", "--first-move", "--help", "--limit", "--out",
-                  "--slopes", "--start", "--steps", "--tol", "-h"],
+                  "--slopes", "--start", "--steps", "-h"],
     "corner-trajectories": ["--board", "--config", "--decimal", "--help",
                             "--max-steps", "--moves", "--out", "-h"],
     "rigid-cycles": ["--board", "--config", "--decimal", "--help",
@@ -513,6 +538,8 @@ def test_nonpositive_trace_cap_is_rejected(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
+    if argv[0] == "render":  # by the option the user gave
+        assert err == "error: q must be at least 1, got 0\n"
 
 
 def test_zero_max_steps_keeps_the_start(capsys):
@@ -617,6 +644,12 @@ def test_decimal_is_refused_where_no_points_are_printed(capsys, command):
     assert "--decimal" in capsys.readouterr().err
 
 
+# sha256 of the 10,001-point orbit that the test below prints
+DIGIT_LIMIT_ORBIT_SHA256 = (
+    "9b0c5e3ad36a5d6717d8ce82ba26c194d00399da9f783dd54cb2427aaf394eca"
+)
+
+
 @pytest.mark.slow
 def test_simulate_prints_coordinates_beyond_the_digit_limit(capsys):
     # at the default cap this orbit's coordinates pass 4,300 digits,
@@ -627,19 +660,13 @@ def test_simulate_prints_coordinates_beyond_the_digit_limit(capsys):
     )
     assert (code, err) == (0, "")
     assert sys.get_int_max_str_digits() == limit
-    last = trace(
-        Board.square(),
-        (canonical_move(3, 2), canonical_move(2, 3)),
-        Point2(F(1, 3), 0),
-        1,
-        max_points=10_001,
-    ).points[-1]
-    assert point_denominator(last).bit_length() > 14_300  # 4,300+ digits
+    assert hashlib.sha256(out.encode()).hexdigest() == DIGIT_LIMIT_ORBIT_SHA256
     sys.set_int_max_str_digits(0)  # to parse the printed point back
     try:
-        assert parse_point(out.rstrip("\n").rsplit("\n", 1)[1]) == last
+        last = parse_point(out.rstrip("\n").rsplit("\n", 1)[1])
     finally:
         sys.set_int_max_str_digits(limit)
+    assert point_denominator(last).bit_length() > 14_300  # 4,300+ digits
 
 
 def test_rigid_cycles_reject_a_negative_length(capsys):
@@ -921,6 +948,23 @@ def test_render_searches_each_cycle_length_once(
     assert code == 0
     assert 'stroke="#2ca02c"' in out  # the rigid 4-cycle is highlighted
     assert searched == lengths
+
+
+@pytest.mark.parametrize("q", [2, 5])
+def test_render_traces_its_corner_windows_once(capsys, monkeypatch, q):
+    traced = []
+
+    def spy(board, moves, max_points):
+        traced.append(max_points)
+        return corner_trajectories(board, moves, max_points)
+
+    for module in (riderflow.cli, sys.modules["riderflow.denominator"]):
+        monkeypatch.setattr(module, "corner_trajectories", spy)
+    code, out, _ = run_cli(
+        capsys, "render", "--moves", "2,1", "1,-2", "--q", str(q)
+    )
+    assert code == 0 and out
+    assert traced == [q]
 
 
 # each printed an empty table, exited 3 or printed a closed form for a

@@ -24,7 +24,7 @@ from riderflow import (
     minimal_period,
 )
 
-from conftest import canonical_move_pairs, move_pairs
+from conftest import MOVE_PAIRS, canonical_move_pairs, move_pairs
 from oracles import (
     attack_masks,
     backtrack_count,
@@ -361,16 +361,28 @@ def _primes(d):
     return primes
 
 
+# per q, how many pairs with |c|, |d| <= 4 the step-D check takes: all
+# of them at q <= 2; at q = 3 those with |c|, |d| <= 2 and those with
+# D <= 12, as the rest count past n = 3 + 7 * 12
+STEP_D_PAIRS = {1: 276, 2: 276, 3: 130}
+
+
 @pytest.mark.parametrize("q", [1, 2, 3])
 def test_counts_repeat_with_the_denominator_as_step(q):
+    pairs = [
+        moves
+        for moves in MOVE_PAIRS
+        if q < 3 or moves in SQUARE_PAIRS
+        or _square_denominator(moves, q) <= 12
+    ]
     # t = 2 alone catches INC at q = 3 with D halved; keep all three
     nonzero = [
         (moves, t)
-        for moves in SQUARE_PAIRS
+        for moves in pairs
         for t in (1, 2, 3)
         if _step_difference(moves, q, t, _square_denominator(moves, q))
     ]
-    assert len(SQUARE_PAIRS) == 28
+    assert len(pairs) == STEP_D_PAIRS[q]
     assert nonzero == []
 
 
