@@ -276,14 +276,11 @@ def _capped(value, cap, name):
     return value
 
 
-def _square_only(config):
-    """The config of a command that counts or solves on the square alone.
-
-    The unit square may be listed from any of its corners.
-    """
-    if set(config.board.corners) != set(Board.square().corners):
-        raise ParseError("this command works on the square board only")
-    return config
+def _square_only(board, what="this command"):
+    """Refuse a board other than the unit square, listed from any
+    corner, for `what` works on the square alone."""
+    if set(board.corners) != set(Board.square().corners):
+        raise ParseError(f"{what} works on the square board only")
 
 
 def _trace_points(config, steps=MAX_STEPS):
@@ -384,6 +381,8 @@ def _cmd_float_sim(args):
         raise ParseError(f"{start} is outside the board")
     limit_set = None
     if args.limit == "orbit":
+        # the attracting 4-cycle of the unit square
+        _square_only(board, "--limit orbit")
         limit_set = [
             (p.x, p.y) for p in attractor_orbit(slopes[0], slopes[1])
         ]
@@ -419,10 +418,10 @@ def _cmd_corner_trajectories(args):
 
     def chunks():
         # the text of json.dumps(payload, indent=2), one trajectory at a
-        # time, so that no more than one is held in memory
-        yield (f'{{\n  "board_corners": {len(board.corners)},\n'
-               '  "trajectories": [\n    ')
-        separator = ""
+        # time, so that no more than one is held in memory; the header
+        # goes out with the first, so a failure there prints nothing
+        separator = (f'{{\n  "board_corners": {len(board.corners)},\n'
+                     '  "trajectories": [\n    ')
         for t in corner_trajectories(board, config.moves, max_points):
             item = {
                 "corner": _point_payload(t.points[0], args.decimal),
@@ -496,7 +495,8 @@ def _closed_form(moves, q):
 
 
 def _cmd_closed_form(args):
-    config = _square_only(_resolve_config(args))
+    config = _resolve_config(args)
+    _square_only(config.board)
     q = _capped(_require(config.q, "--q"), MAX_CLOSED_FORM_Q, "q")
     family, params, value = _closed_form(config.moves, q)
     payload = {
@@ -509,7 +509,8 @@ def _cmd_closed_form(args):
 
 
 def _cmd_count(args):
-    config = _square_only(_resolve_config(args))
+    config = _resolve_config(args)
+    _square_only(config.board)
     q, n_max = _counting_sizes(config)
     series = count_series(config.moves, q, n_max)
     rows = ["n,count"]
@@ -518,7 +519,8 @@ def _cmd_count(args):
 
 
 def _cmd_period(args):
-    config = _square_only(_resolve_config(args))
+    config = _resolve_config(args)
+    _square_only(config.board)
     q, n_max = _counting_sizes(config)
     series = count_series(config.moves, q, n_max)
     period = args.period
@@ -543,7 +545,8 @@ def _cmd_period(args):
 
 
 def _cmd_conjecture(args):
-    config = _square_only(_resolve_config(args))
+    config = _resolve_config(args)
+    _square_only(config.board)
     _capped(_require(config.q, "--q"), MAX_CYCLE_LENGTH, "q")
     q, n_max = _counting_sizes(config)
     report = conjecture_report(config.moves, q, n_max)
@@ -708,7 +711,7 @@ def main(argv=None):
     except InternalInvariantError as exc:
         print(f"internal invariant violated: {exc}", file=sys.stderr)
         return 4
-    except (ValueError, ZeroDivisionError, OSError) as exc:
+    except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

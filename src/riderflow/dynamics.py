@@ -261,49 +261,36 @@ def partition_into_trajectories(board, moves, points):
     Components come in the order of their smallest points.
     """
 
-    points = sorted(
-        {p if isinstance(p, Point2) else Point2(*p) for p in points}
-    )
-    pool = set(points)
-    image = {
-        (p, r): antipode(board, moves[r - 1], p) for p in points for r in (1, 2)
-    }
-
-    def walk(p, r):
-        """Points linked after p leaving with type r, the type the last
-        point leaves with, and whether the walk closed onto p."""
-        seq = []
-        cur = p
-        while True:
-            nxt = image[(cur, r)]
-            if nxt == cur or nxt not in pool:
-                return seq, r, False
-            if nxt == p:
-                return seq, r, True
-            if len(seq) == len(pool):
-                raise InternalInvariantError("alternating walk does not close")
-            seq.append(nxt)
-            cur = nxt
-            r = other(r)
-
+    coerced = (p if isinstance(p, Point2) else Point2(*p) for p in points)
+    pool = {_homogeneous(p): p for p in coerced}
+    order = sorted(pool, key=pool.get)
+    # link[h, r]: the point of the set that h reaches under move type r
+    link = {}
+    for h in order:
+        for r in (1, 2):
+            landing = _step(board, moves[r - 1], *h)
+            if landing in pool:
+                link[h, r] = landing
     done = set()
     out = []
-    for start in points:
-        if start in done:
+    for h in order:
+        if h in done:
             continue
-        # start is the smallest point of its component
-        ahead, last, closed = walk(start, 1)
-        first, first_type, behind = start, 1, ()
-        if not closed:
-            # a walk's last point is a path end, entered by the other type
-            behind, back, _ = walk(start, 2)
-            first, first_type = min(
-                ((start, *ahead)[-1], other(last)),
-                ((start, *behind)[-1], other(back)),
-            )
-        size = len(ahead) + len(behind) + 1
-        out.append(trace(board, moves, first, first_type, max_points=size))
-        done.update(out[-1].points)
+        # h is the smallest point of its component
+        component, stack, ends = {h}, [h], []
+        while stack:
+            p = stack.pop()
+            for r in (1, 2):
+                linked = link.get((p, r))
+                if linked is None:  # a path end, left by the other type
+                    ends.append((pool[p], other(r)))
+                elif linked not in component:
+                    component.add(linked)
+                    stack.append(linked)
+        first, first_type = min(ends, default=(pool[h], 1))
+        out.append(trace(board, moves, first, first_type,
+                         max_points=len(component)))
+        done |= component
     return out
 
 

@@ -13,6 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, hypot, inf
 
+# A step shorter than this halts the path, and a landing this close to a
+# corner stops it there.
+TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class FloatPath:
@@ -29,20 +33,13 @@ def distances(points, limit_set):
     )
 
 
-def simulate_float(
-    board,
-    slopes,
-    start,
-    first_move_type=1,
-    steps=1000,
-    tol=1e-9,
-):
+def simulate_float(board, slopes, start, first_move_type=1, steps=1000):
     """Bounce from start for at most the given number of steps.
 
     slopes are the two line slopes (finite; use the exact machinery for
     vertical moves).  Stops early when the far intersection is the
     current point (a closed end, as on an edge parallel to the move) or
-    lands within tol of a corner.
+    lands within TOL of a corner.
     """
 
     if steps < 0:
@@ -65,7 +62,7 @@ def simulate_float(
             along = nx * dx + ny * dy
             height = nx * x + ny * y - off
             if abs(along) < 1e-15:
-                if abs(height) <= tol:  # the move runs along this edge
+                if abs(height) <= TOL:  # the move runs along this edge
                     t_lo = t_hi = 0.0
                     break
                 continue
@@ -75,13 +72,13 @@ def simulate_float(
             else:
                 t_hi = min(t_hi, bound)
         t = t_lo if abs(t_lo) > abs(t_hi) else t_hi
-        if abs(t) <= tol:
+        if abs(t) <= TOL:
             reason = "halt"
             break
         x, y = x + t * dx, y + t * dy
         points.append((x, y))
         move_type = 3 - move_type
-        if min(hypot(x - cx, y - cy) for cx, cy in corners) <= tol:
+        if min(hypot(x - cx, y - cy) for cx, cy in corners) <= TOL:
             reason = "corner"
             break
     return FloatPath(tuple(points), reason)

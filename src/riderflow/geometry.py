@@ -12,6 +12,7 @@ coordinates (x, y, w), meaning (x/w, y/w), without any Fraction work.
 from __future__ import annotations
 
 import enum
+import re
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -36,8 +37,19 @@ class InternalInvariantError(AssertionError):
     """A condition the library proves impossible happened anyway."""
 
 
+# CPython's bound on the digits of integer text: Fraction expands a
+# decimal exponent into that many digits before any check.
+MAX_EXPONENT = 4_300
+
+
 def parse_rational(text):
-    """Parse 'p/q' or 'p' into a Fraction."""
+    """Parse 'p/q', 'p' or a decimal such as '2.5e-3' into a Fraction."""
+    exponent = re.search(r"[eE]([-+]?\d+(?:_\d+)*)\s*$", text)
+    if exponent and abs(int(exponent[1])) > MAX_EXPONENT:
+        raise ValueError(
+            f"exponent {exponent[1]} in {text.strip()!r} is beyond "
+            f"{MAX_EXPONENT} in magnitude"
+        )
     try:
         return Fraction(text.strip())
     except ZeroDivisionError:

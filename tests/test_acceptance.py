@@ -253,9 +253,7 @@ def test_criterion_7_dynamics_properties():
             1,
         )
         limit = [(float(p.x), float(p.y)) for p in corner_limit.points]
-        path = simulate_float(
-            SQUARE, (0.3, -0.4), (0.61, 0.0), steps=2000, tol=1e-12
-        )
+        path = simulate_float(SQUARE, (0.3, -0.4), (0.61, 0.0), steps=2000)
         dists = distances(path.points, limit)
         tail = dists[min(60, len(dists) - 1):]
         assert min(tail) < 1e-6

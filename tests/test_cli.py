@@ -557,8 +557,10 @@ def test_zero_max_steps_keeps_the_start(capsys):
 
 @pytest.mark.parametrize("command", ["simulate", "corner-trajectories"])
 def test_step_cap_above_the_limit_is_rejected(capsys, command):
-    start = ["--start", "1/3,0"] if command == "simulate" else []
-    argv = [command, "--moves", "2,1", "1,2", *start]
+    # bishops close a 4-cycle from (1/2, 0) and halt within two points
+    # from a corner, so the accepted cap costs no long trace
+    start = ["--start", "1/2,0"] if command == "simulate" else []
+    argv = [command, "--moves", "1,1", "1,-1", *start]
     code, out, _ = run_cli(capsys, *argv, "--max-steps", "10000")
     assert code == 0 and out
     code, out, err = run_cli(capsys, *argv, "--max-steps", "10001")
@@ -918,6 +920,46 @@ def test_board_with_too_many_corners_is_rejected(capsys, tmp_path, route):
         else:
             assert (code, out) == (2, "")
             assert err.startswith("error:") and str(MAX_CORNERS) in err
+
+
+def test_float_sim_orbit_limit_is_refused_off_the_square(capsys, tmp_path):
+    board_file = tmp_path / "board.json"
+    board_file.write_text(json.dumps({"corners": [
+        ["0", "0"], ["1", "0"], ["3/2", "1"], ["1/2", "2"], ["-1/2", "1"]
+    ]}))
+    code, out, err = run_cli(
+        capsys, "float-sim", "--slopes", "1/5", "-3", "--start", "1,0",
+        "--limit", "orbit", "--board", str(board_file),
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "square" in err
+
+
+# a corner beyond the float range
+HUGE_CORNER_BOARD = {"corners": [["1e400", "0"], ["0", "1"], ["0", "0"]]}
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["simulate", "--moves", "2,1", "1,2", "--start", "1e5000,0"],
+     "exponent 5000"),
+    (["float-sim", "--slopes", "1e400", "-3", "--start", "1/2,0",
+      "--steps", "3"], None),
+    (["simulate", "--moves", "2,1", "1,2", "--start", "1e399,0",
+      "--max-steps", "3", "--format", "json", "--decimal", "--board"],
+     None),
+    (["corner-trajectories", "--moves", "2,1", "1,2", "--max-steps", "3",
+      "--decimal", "--board"], None),
+], ids=["exponent", "slope", "simulate-decimal", "corner-decimal"])
+def test_hostile_numbers_exit_2(capsys, tmp_path, argv, named):
+    if argv[-1] == "--board":
+        board_file = tmp_path / "board.json"
+        board_file.write_text(json.dumps(HUGE_CORNER_BOARD))
+        argv = [*argv, str(board_file)]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
+    if named is not None:
+        assert named in err
 
 
 def test_float_sim_steps_above_the_cap_are_rejected(capsys):

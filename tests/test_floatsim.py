@@ -71,9 +71,7 @@ def test_corner_stop_for_mixed_slopes(square):
     moves = (canonical_move(10, 3), canonical_move(5, -2))
     corner_path = trace(square, moves, Point2(0, 0), 1)
     limit = [(float(p.x), float(p.y)) for p in corner_path.points]
-    path = simulate_float(
-        square, (0.3, -0.4), (0.55, 0.0), steps=2000, tol=1e-9
-    )
+    path = simulate_float(square, (0.3, -0.4), (0.55, 0.0), steps=2000)
     assert path.stop_reason == "corner"
     assert min(distances(path.points, limit)[-6:]) < 1e-6
 

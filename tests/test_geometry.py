@@ -43,6 +43,15 @@ def test_parse_rational_forms():
         parse_rational("1/0")
 
 
+def test_parse_rational_refuses_an_exponent_beyond_the_digit_limit():
+    for text in ("1e4301", "1e-4301"):
+        with pytest.raises(ValueError, match="4301"):
+            parse_rational(text)
+    assert parse_rational("2.5e-3") == Fraction(1, 400)
+    assert parse_rational("0.61") == Fraction(61, 100)
+    assert parse_rational("1/5") == Fraction(1, 5)
+
+
 @given(rationals, rationals)
 def test_point_text_round_trip(x, y):
     p = Point2(x, y)
