@@ -18,7 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 
 from .geometry import (
     InternalInvariantError,
@@ -37,57 +38,60 @@ class NotCyclic(ValueError):
     pass
 
 
-def _eliminate(work, ncols, full_rank=False):
-    """Row-reduce `work` in place to echelon form on its first ncols columns.
+def _integer_row(values):
+    """A row of ints and Fractions scaled by the lcm of its denominators."""
+    scale = lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values]
 
-    Returns the number of pivots.  With `full_rank`, gives up and returns
-    None at the first of those columns without a pivot.
+
+def _extend(basis, row, ncols):
+    """Add an integer row to an echelon basis of (pivot, row) pairs, each
+    row zero at the pivots before it; False, adding nothing, when the
+    row's first ncols columns lie in the span of the basis.
+
+    The row is reduced fraction-free, lead·row - row[pivot]·basis_row,
+    and divided by the gcd of its entries; its first nonzero column is
+    its pivot.
     """
-    nrows = len(work)
-    width = len(work[0]) if work else 0
-    rank = 0
+    for p, b in basis:
+        if v := row[p]:
+            row = [b[p] * x - v * y for x, y in zip(row, b)]
     for col in range(ncols):
-        for pivot in range(rank, nrows):
-            if work[pivot][col] != 0:
-                break
-        else:
-            if full_rank:
-                return None
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        top = work[rank]
-        lead = top[col]
-        for r in range(rank + 1, nrows):
-            row = work[r]
-            if row[col] != 0:
-                factor = row[col] / lead
-                for c in range(col, width):
-                    row[c] -= factor * top[c]
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
+        if row[col]:
+            g = gcd(*row)
+            basis.append((col, [x // g for x in row]))
+            return True
+    return False
+
+
+def _back_substitute(basis, n):
+    """Numerators xs and one denominator w > 0, xs[j]/w the j-th unknown,
+    of a full basis over n unknowns with right-hand sides in column n."""
+    xs, w = [0] * n, 1
+    for p, b in reversed(basis):  # xs is 0 at the pivots not yet solved
+        acc = b[n] * w - sum(map(mul, b, xs))
+        xs = [x * b[p] for x in xs]
+        xs[p], w = acc, w * b[p]
+    g = gcd(*xs, w) if w > 0 else -gcd(*xs, w)
+    return [x // g for x in xs], w // g
 
 
 def matrix_rank(rows):
     """Rank of a matrix given as an iterable of equal-length rows."""
-    work = [[Fraction(v) for v in row] for row in rows]
-    return _eliminate(work, len(work[0]) if work else 0)
+    basis = []
+    for row in map(_integer_row, rows):
+        _extend(basis, row, len(row))
+    return len(basis)
 
 
 def solve_square_system(rows, rhs):
     """Solve A x = b exactly; None when A is singular."""
-    n = len(rows)
-    work = [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
-    if _eliminate(work, n, full_rank=True) is None:
-        return None
-    solution = [Fraction(0)] * n
-    for r in range(n - 1, -1, -1):
-        acc = work[r][n]
-        for c in range(r + 1, n):
-            acc -= work[r][c] * solution[c]
-        solution[r] = acc / work[r][r]
-    return solution
+    n, basis = len(rows), []
+    for row, b in zip(rows, rhs):
+        if not _extend(basis, _integer_row([*row, b]), n):
+            return None
+    xs, w = _back_substitute(basis, n)
+    return [Fraction(x, w) for x in xs]
 
 
 def _attack_normal(dim, i, j, move):

@@ -415,6 +415,9 @@ def _cmd_corner_trajectories(args):
     board, max_points = config.board, _trace_points(config, steps=128)
     _capped(2 * len(board.corners) * max_points, MAX_CORNER_POINTS,
             "2 * corners * (max_steps + 1)")
+    if args.decimal:  # points lie between the corners: overflow shows there
+        for corner in board.corners:
+            float(corner.x), float(corner.y)
 
     def chunks():
         # the text of json.dumps(payload, indent=2), one trajectory at a

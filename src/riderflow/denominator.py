@@ -42,12 +42,13 @@ from .dynamics import (
 )
 from .arrangement import (
     _attack_normal,
+    _back_substitute,
+    _extend,
     _fixation_normal,
     arrangement_of,
     classify_cycle,
     enumerate_rigid_cycles,
     matrix_rank,
-    solve_square_system,
 )
 
 
@@ -377,41 +378,42 @@ def attractor_orbit(slope1, slope2):
 
 
 def vertex_oracle(board, moves, q):
-    """Denominator by direct vertex enumeration; exponential, q <= 2 only.
+    """Denominator by direct vertex enumeration; exponential, q <= 3 only.
 
     Every arrangement vertex is the unique solution of some 2q
     independent constraints chosen among the per-piece edge fixations
     and the pairwise attack hyperplanes, lying inside the closed board.
+    Bases grow depth first in row order through `_extend`, and a branch
+    ends at the first row in the span of those before it.  A solution
+    (x/w, y/w) per piece is in the board when every a·x + b·y - c·w >= 0.
     """
 
-    if q > 2:
-        raise ValueError("the oracle enumerates all vertex supports; q <= 2")
+    if q > 3:
+        raise ValueError("the oracle enumerates all vertex supports; q <= 3")
     if q <= 0:
         return 1
     dim = 2 * q
-    rows = [
-        (_fixation_normal(dim, i, row), row[2])
-        for i in range(q)
-        for row in board.rows
-    ]
-    rows += [
-        (_attack_normal(dim, i, j, move), 0)
-        for i, j in combinations(range(q), 2)
-        for move in moves
-    ]
+    rows = [[*_fixation_normal(dim, i, row), row[2]]
+            for i in range(q) for row in board.rows]
+    rows += [[*_attack_normal(dim, i, j, move), 0]
+             for i, j in combinations(range(q), 2) for move in moves]
     value = 1
-    for subset in combinations(rows, dim):
-        solution = solve_square_system(
-            [r[0] for r in subset], [r[1] for r in subset]
-        )
-        if solution is None:
-            continue
-        pieces = [
-            Point2(solution[2 * i], solution[2 * i + 1]) for i in range(q)
-        ]
-        if all(board.contains(p) for p in pieces):
-            for p in pieces:
-                value = lcm(value, point_denominator(p))
+
+    def grow(basis, start):
+        nonlocal value
+        if len(basis) == dim:
+            xs, w = _back_substitute(basis, dim)
+            pieces = list(zip(xs[::2], xs[1::2]))
+            if all(a * x + b * y >= c * w
+                   for x, y in pieces for a, b, c in board.rows):
+                value = lcm(value, *(w // gcd(x, y, w) for x, y in pieces))
+            return
+        for k in range(start, len(rows) - dim + len(basis) + 1):
+            if _extend(basis, rows[k], dim):
+                grow(basis, k + 1)
+                basis.pop()
+
+    grow([], 0)
     return value
 
 

@@ -26,6 +26,12 @@ lies on a segment when it is collinear with it and between its ends.
 
 `closed_form_inclined` folds the lcm over every corner-window point and
 crossing of the inclined family, one `rho` power each.
+
+`fraction_rank` and `fraction_solve` are Gaussian elimination over
+`Fraction` with row swaps, and `subset_vertex_oracle` solves every
+2q-subset of the candidate rows with it, building those rows itself;
+`riderflow.arrangement` eliminates fraction-free over integers, and
+`riderflow.vertex_oracle` grows only independent bases through it.
 """
 
 from fractions import Fraction
@@ -473,3 +479,75 @@ def closed_form_inclined(moves, q):
     for i in range(1, (q - 1) // 2 + 1):
         dens.append(point_denominator(inclined_crossing_point(moves, i)))
     return lcm(*dens)
+
+
+def _fraction_echelon(work, ncols):
+    """Row-reduce `work`, lists of Fractions, in place on its first ncols
+    columns; returns the pivot columns in order."""
+    pivots = []
+    for col in range(ncols):
+        rank = len(pivots)
+        pivot = next(
+            (r for r in range(rank, len(work)) if work[r][col] != 0), None
+        )
+        if pivot is None:
+            continue
+        work[rank], work[pivot] = work[pivot], work[rank]
+        top = work[rank]
+        for row in work[rank + 1:]:
+            factor = row[col] / top[col]
+            for c in range(col, len(row)):
+                row[c] -= factor * top[c]
+        pivots.append(col)
+    return pivots
+
+
+def fraction_rank(rows):
+    work = [[Fraction(v) for v in row] for row in rows]
+    return len(_fraction_echelon(work, len(work[0]) if work else 0))
+
+
+def fraction_solve(rows, rhs):
+    """The solution of A x = b as Fractions, or None when A is singular."""
+    n = len(rows)
+    work = [[Fraction(v) for v in row] + [Fraction(b)]
+            for row, b in zip(rows, rhs)]
+    if len(_fraction_echelon(work, n)) < n:
+        return None
+    solution = [Fraction(0)] * n
+    for r in reversed(range(n)):
+        acc = work[r][n] - sum(work[r][c] * solution[c]
+                               for c in range(r + 1, n))
+        solution[r] = acc / work[r][r]
+    return solution
+
+
+def subset_vertex_oracle(board, moves, q):
+    """The lcm of the piece denominators over every solution of 2q of the
+    edge fixations and attack hyperplanes that lies in the closed board,
+    trying every 2q-subset of those rows."""
+    dim = 2 * q
+    rows = []
+    for i in range(q):
+        for a, b, c in board.rows:
+            normal = [0] * dim
+            normal[2 * i], normal[2 * i + 1] = a, b
+            rows.append((normal, c))
+    for i, j in combinations(range(q), 2):
+        for move in moves:
+            normal = [0] * dim
+            normal[2 * i], normal[2 * i + 1] = move.d, -move.c
+            normal[2 * j], normal[2 * j + 1] = -move.d, move.c
+            rows.append((normal, 0))
+    value = 1
+    for subset in combinations(rows, dim):
+        solution = fraction_solve([r[0] for r in subset],
+                                  [r[1] for r in subset])
+        if solution is None:
+            continue
+        pieces = [Point2(solution[2 * i], solution[2 * i + 1])
+                  for i in range(q)]
+        if all(board.contains(p) for p in pieces):
+            for p in pieces:
+                value = lcm(value, point_denominator(p))
+    return value

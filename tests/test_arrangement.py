@@ -57,6 +57,40 @@ def test_solve_square_system():
     assert solve_square_system([(1, 1), (2, 2)], (0, 1)) is None
 
 
+_ENTRIES = st.one_of(
+    st.integers(-3, 3),
+    st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6)),
+)
+
+
+@st.composite
+def _matrices(draw, square=False):
+    """Small integer and Fraction matrices; about half of those with two
+    or more rows end in a combination of two others."""
+    nrows = draw(st.integers(0, 5))
+    ncols = nrows if square else draw(st.integers(0, 5))
+    entries = st.lists(_ENTRIES, min_size=ncols, max_size=ncols)
+    rows = [draw(entries) for _ in range(nrows)]
+    if nrows >= 2 and draw(st.booleans()):
+        i, j = draw(st.integers(0, nrows - 2)), draw(st.integers(0, nrows - 2))
+        s, t = draw(_ENTRIES), draw(_ENTRIES)
+        rows[-1] = [s * x + t * y for x, y in zip(rows[i], rows[j])]
+    return rows
+
+
+@given(_matrices())
+@settings(max_examples=300, deadline=None)
+def test_matrix_rank_matches_the_fraction_reference(rows):
+    assert matrix_rank(rows) == oracles.fraction_rank(rows)
+
+
+@given(_matrices(square=True), st.data())
+@settings(max_examples=300, deadline=None)
+def test_solve_square_system_matches_the_fraction_reference(rows, data):
+    rhs = data.draw(st.lists(_ENTRIES, min_size=len(rows), max_size=len(rows)))
+    assert solve_square_system(rows, rhs) == oracles.fraction_solve(rows, rhs)
+
+
 def _kinds(normals):
     """Each row's kind: a fixation touches one piece, an attack two."""
     kinds = {1: "fixation", 2: "attack"}

@@ -935,8 +935,9 @@ def test_float_sim_orbit_limit_is_refused_off_the_square(capsys, tmp_path):
     assert err.startswith("error:") and "square" in err
 
 
-# a corner beyond the float range
-HUGE_CORNER_BOARD = {"corners": [["1e400", "0"], ["0", "1"], ["0", "0"]]}
+# a corner beyond the float range; the first corner converts, so
+# corner-trajectories --decimal must refuse before printing its windows
+HUGE_CORNER_BOARD = {"corners": [["0", "0"], ["1e400", "0"], ["0", "1"]]}
 
 
 @pytest.mark.parametrize("argv, named", [

@@ -189,6 +189,28 @@ def test_denominator_matches_the_vertex_oracle(board, pair):
                 == vertex_oracle(board, moves, q)
 
 
+@given(convex_boards(), move_pairs())
+@settings(max_examples=30, deadline=None)
+def test_vertex_oracle_matches_the_subset_reference(board, moves):
+    for q in (1, 2):
+        assert vertex_oracle(board, moves, q) \
+            == oracles.subset_vertex_oracle(board, moves, q)
+
+
+@pytest.mark.parametrize("moves", canonical_move_pairs(2))
+def test_denominator_matches_the_vertex_oracle_at_q3_on_the_square(moves):
+    assert denominator(Board.square(), moves, 3).value \
+        == vertex_oracle(Board.square(), moves, 3)
+
+
+@pytest.mark.parametrize("moves, value", [(INCLINED, 60), (ORTH, 180)])
+def test_denominator_matches_the_vertex_oracle_at_q3_on_the_pentagon(
+    pentagon, moves, value
+):
+    assert denominator(pentagon, moves, 3).value == value
+    assert vertex_oracle(pentagon, moves, 3) == value
+
+
 # -- closed forms -----------------------------------------------------------
 
 
@@ -296,7 +318,7 @@ def test_vertex_oracle_small(square):
     assert vertex_oracle(square, BISHOP, 2) == 1
     assert vertex_oracle(square, INCLINED, 2) == 2
     with pytest.raises(ValueError):
-        vertex_oracle(square, BISHOP, 3)
+        vertex_oracle(square, BISHOP, 4)
 
 
 def test_characterize_vertex_positive(square):
