@@ -390,11 +390,11 @@ def _cmd_float_sim(args):
         moves = _canonical_pair(
             [(s.denominator, s.numerator) for s in slopes]
         )
-        limit_set = sorted({
+        limit_set = [
             (p.x, p.y)
             for trajectory in corner_trajectories(board, moves, max_points=256)
             for p in trajectory.points
-        })
+        ]
     path = simulate_float(
         board,
         slopes,

@@ -10,8 +10,10 @@ exactly-analyzed families.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from math import gcd, hypot, inf
+from itertools import cycle, islice
+from math import copysign, gcd, hypot, inf
 
 # A step shorter than this halts the path, and a landing this close to a
 # corner stops it there.
@@ -25,11 +27,48 @@ class FloatPath:
 
 
 def distances(points, limit_set):
-    """Each point's distance to the nearest point of limit_set."""
-    reference = [(float(x), float(y)) for x, y in limit_set]
-    return tuple(
-        min(hypot(x - lx, y - ly) for lx, ly in reference)
-        for x, y in points
+    """Each point's distance to the nearest point of limit_set.
+
+    Equal to min(hypot(x - lx, y - ly)) over the limit set, found by a
+    sweep: the limit set, as float pairs without duplicates, is sorted
+    by x once, and from each point's place in that order the scan runs
+    outwards until |x - lx| alone exceeds the best distance so far
+    (hypot is never below it).  A point seen before reuses its distance;
+    +0.0 and -0.0 give equal distances, so points that compare equal
+    may share one.  Raises ValueError when the limit set is empty.
+    """
+    reference = sorted({(float(x), float(y)) for x, y in limit_set})
+    if not reference:
+        raise ValueError("the limit set is empty")
+    known = {}
+    out = []
+    for point in points:
+        d = known.get(point)
+        if d is None:
+            d = known[point] = _nearest(reference, *point)
+        out.append(d)
+    return tuple(out)
+
+
+def _nearest(reference, x, y):
+    """min(hypot(x - lx, y - ly)) over reference, which is sorted."""
+    right = bisect_left(reference, (x, -inf))
+    # seeded from a candidate, not inf, so that a NaN distance stays NaN
+    lx, ly = reference[min(right, len(reference) - 1)]
+    best = hypot(x - lx, y - ly)
+    for side in range(right, len(reference)), range(right - 1, -1, -1):
+        for j in side:
+            lx, ly = reference[j]
+            if abs(x - lx) > best:
+                break
+            best = min(best, hypot(x - lx, y - ly))
+    return best
+
+
+def _same_bits(p, q):
+    """Float pairs equal with equal signs: +0.0 and -0.0 differ."""
+    return p == q and all(
+        copysign(1.0, a) == copysign(1.0, b) for a, b in zip(p, q)
     )
 
 
@@ -40,32 +79,53 @@ def simulate_float(board, slopes, start, first_move_type=1, steps=1000):
     vertical moves).  Stops early when the far intersection is the
     current point (a closed end, as on an edge parallel to the move) or
     lands within TOL of a corner.
+
+    A step is a function of the state (x, y, move type) alone, so once
+    a state repeats an earlier one bit for bit the path repeats from
+    there.  The state at the last power-of-two step is kept; when a new
+    state equals it, the repeated block (the same tuples) fills the path
+    up to `steps` points after the start.  Every halt and corner test in
+    that block has passed already, so the path and its stop_reason are
+    those of stepping to the end.
     """
 
     if steps < 0:
         raise ValueError(f"steps must be nonnegative, got {steps}")
-    dirs = (1.0, float(slopes[0])), (1.0, float(slopes[1]))
+    if first_move_type not in (1, 2):
+        raise ValueError(f"move type must be 1 or 2, got {first_move_type}")
     # each row over gcd(a, b), so (a, b) is primitive, as floats
     edges = []
     for a, b, c in board.rows:
         g = gcd(a, b)
         edges.append((a / g, b / g, c / g))
+    # per move type: its direction, the edges parallel to it, and the
+    # others with their rate along the move
+    moves = []
+    for slope in slopes:
+        dx, dy = 1.0, float(slope)
+        parallel, crossing = [], []
+        for nx, ny, off in edges:
+            along = nx * dx + ny * dy
+            if abs(along) < 1e-15:
+                parallel.append((nx, ny, off))
+            else:
+                crossing.append((nx, ny, off, along))
+        moves.append((dx, dy, parallel, crossing))
     corners = [(float(c.x), float(c.y)) for c in board.corners]
     x, y = float(start[0]), float(start[1])
     points = [(x, y)]
     move_type = first_move_type
+    saved_step, saved_point, saved_type = 0, points[0], move_type
     reason = None
-    for _ in range(steps):
-        dx, dy = dirs[move_type - 1]
+    for step in range(1, steps + 1):
+        dx, dy, parallel, crossing = moves[move_type - 1]
+        # on an edge parallel to the move, the move runs along it
+        if any(abs(nx * x + ny * y - off) <= TOL for nx, ny, off in parallel):
+            reason = "halt"
+            break
         t_lo, t_hi = -inf, inf
-        for nx, ny, off in edges:
-            along = nx * dx + ny * dy
+        for nx, ny, off, along in crossing:
             height = nx * x + ny * y - off
-            if abs(along) < 1e-15:
-                if abs(height) <= TOL:  # the move runs along this edge
-                    t_lo = t_hi = 0.0
-                    break
-                continue
             bound = -height / along
             if along > 0:
                 t_lo = max(t_lo, bound)
@@ -76,9 +136,16 @@ def simulate_float(board, slopes, start, first_move_type=1, steps=1000):
             reason = "halt"
             break
         x, y = x + t * dx, y + t * dy
-        points.append((x, y))
+        point = (x, y)
+        points.append(point)
         move_type = 3 - move_type
         if min(hypot(x - cx, y - cy) for cx, cy in corners) <= TOL:
             reason = "corner"
             break
+        if move_type == saved_type and _same_bits(point, saved_point):
+            block = points[saved_step + 1:]
+            points.extend(islice(cycle(block), steps - step))
+            break
+        if step & (step - 1) == 0:
+            saved_step, saved_point, saved_type = step, point, move_type
     return FloatPath(tuple(points), reason)

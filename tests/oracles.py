@@ -32,11 +32,17 @@ crossing of the inclined family, one `rho` power each.
 2q-subset of the candidate rows with it, building those rows itself;
 `riderflow.arrangement` eliminates fraction-free over integers, and
 `riderflow.vertex_oracle` grows only independent bases through it.
+
+`float_path_reference` steps the float bounce to the end, clipping the
+move line against every edge in board order, and
+`nearest_distances_reference` takes min(hypot(...)) over the whole
+limit set for every point; `riderflow.floatsim` stops at the first
+repeated state and sweeps an x-sorted limit set.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
-from math import comb, lcm
+from math import comb, gcd, hypot, inf, lcm
 
 from riderflow import (
     BoundaryLocation,
@@ -551,3 +557,53 @@ def subset_vertex_oracle(board, moves, q):
             for p in pieces:
                 value = lcm(value, point_denominator(p))
     return value
+
+
+def float_path_reference(board, slopes, start, first_move_type=1, steps=1000):
+    """(points, stop_reason) of the float bounce, one step at a time to
+    the end: a halt when the far intersection is within 1e-9 of the
+    current point (or the move runs along an edge), a corner stop on a
+    landing within 1e-9 of a corner."""
+    dirs = (1.0, float(slopes[0])), (1.0, float(slopes[1]))
+    edges = []
+    for a, b, c in board.rows:
+        g = gcd(a, b)
+        edges.append((a / g, b / g, c / g))
+    corners = [(float(c.x), float(c.y)) for c in board.corners]
+    x, y = float(start[0]), float(start[1])
+    points = [(x, y)]
+    move_type = first_move_type
+    for _ in range(steps):
+        dx, dy = dirs[move_type - 1]
+        t_lo, t_hi = -inf, inf
+        for nx, ny, off in edges:
+            along = nx * dx + ny * dy
+            height = nx * x + ny * y - off
+            if abs(along) < 1e-15:
+                if abs(height) <= 1e-9:
+                    t_lo = t_hi = 0.0
+                    break
+                continue
+            bound = -height / along
+            if along > 0:
+                t_lo = max(t_lo, bound)
+            else:
+                t_hi = min(t_hi, bound)
+        t = t_lo if abs(t_lo) > abs(t_hi) else t_hi
+        if abs(t) <= 1e-9:
+            return points, "halt"
+        x, y = x + t * dx, y + t * dy
+        points.append((x, y))
+        move_type = 3 - move_type
+        if min(hypot(x - cx, y - cy) for cx, cy in corners) <= 1e-9:
+            return points, "corner"
+    return points, None
+
+
+def nearest_distances_reference(points, limit_set):
+    """Each point's least hypot distance over every point of limit_set."""
+    reference = [(float(x), float(y)) for x, y in limit_set]
+    return [
+        min(hypot(x - lx, y - ly) for lx, ly in reference)
+        for x, y in points
+    ]

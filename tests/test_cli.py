@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import oracles
 import riderflow.cli
 import riderflow.counting
 from riderflow import (
@@ -18,6 +19,7 @@ from riderflow import (
     InsufficientData,
     InternalInvariantError,
     Point2,
+    attractor_orbit,
     canonical_move,
     closed_form_orthogonal,
     conjecture_report,
@@ -462,6 +464,25 @@ def test_float_sim_csv(capsys):
     assert len(lines) == 10
     last_dist = float(lines[-1].rsplit(",", 1)[1])
     assert last_dist < 1e-3
+
+
+def test_float_sim_at_the_step_cap_matches_the_reference(capsys):
+    code, out, _ = run_cli(
+        capsys, "float-sim", "--slopes", "1/5", "-3", "--start", "3/5,0",
+        "--steps", str(MAX_FLOAT_STEPS), "--limit", "orbit",
+    )
+    assert code == 0
+    slopes = (Fraction(1, 5), Fraction(-3))
+    points, reason = oracles.float_path_reference(
+        Board.square(), slopes, (Fraction(3, 5), 0), steps=MAX_FLOAT_STEPS
+    )
+    assert reason is None and len(points) == MAX_FLOAT_STEPS + 1
+    limit = [(p.x, p.y) for p in attractor_orbit(*slopes)]
+    dists = oracles.nearest_distances_reference(points, limit)
+    assert out == "step,x,y,dist\n" + "".join(
+        f"{i},{x!r},{y!r},{d!r}\n"
+        for i, ((x, y), d) in enumerate(zip(points, dists))
+    )
 
 
 def test_float_sim_halts_on_an_edge_parallel_to_the_move(capsys):

@@ -1,5 +1,12 @@
 from fractions import Fraction
+from math import inf, nan
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
+from conftest import MOVE_PAIRS, boundary_points, convex_boards
 from riderflow import (
     Board,
     Point2,
@@ -74,6 +81,132 @@ def test_corner_stop_for_mixed_slopes(square):
     path = simulate_float(square, (0.3, -0.4), (0.55, 0.0), steps=2000)
     assert path.stop_reason == "corner"
     assert min(distances(path.points, limit)[-6:]) < 1e-6
+
+
+def _point_bits(points):
+    """Each float pair as hex text: equal bit for bit, signed zeros too."""
+    return [(x.hex(), y.hex()) for x, y in points]
+
+
+def _assert_matches_reference(board, slopes, start, first_move_type, steps):
+    path = simulate_float(board, slopes, start, first_move_type, steps)
+    points, reason = oracles.float_path_reference(
+        board, slopes, start, first_move_type, steps
+    )
+    assert path.stop_reason == reason
+    assert len(path.points) == len(points)
+    assert _point_bits(path.points) == _point_bits(points)
+    return path
+
+
+# the benchmark's three --limit orbit runs: each repeats a state at step
+# 36 or 68 and lies on its 4-cycle from step 40 on
+WORKLOAD_ORBITS = [
+    ((F(1, 5), F(-3)), (F(3, 5), F(0))),
+    ((F(1, 4), F(-2)), (F(1, 2), F(0))),
+    ((F(1, 3), F(-5)), (F(2, 3), F(0))),
+]
+
+
+@pytest.mark.parametrize("slopes, start", WORKLOAD_ORBITS)
+def test_workload_orbits_enter_their_four_cycle_by_step_40(
+    square, slopes, start
+):
+    path = _assert_matches_reference(square, slopes, start, 1, 8000)
+    tail = _point_bits(path.points[40:])
+    assert tail[4:] == tail[:-4]
+    # the end of the path is the repeated block, not stepped again
+    assert path.points[-1] is path.points[-5]
+
+
+@pytest.mark.parametrize("steps", range(30, 45))
+def test_steps_ending_around_the_first_repeat(square, steps):
+    # the 1/5, -3 orbit from 3/5, 0 repeats its step-32 state at step
+    # 36: steps = 36 finds the repeat on the last step, and 37-39 end
+    # partway through the repeated block 33..36
+    slopes, start = WORKLOAD_ORBITS[0]
+    path = _assert_matches_reference(square, slopes, start, 1, steps)
+    if steps > 36:
+        assert path.points[37] is path.points[33]
+
+
+def test_corner_stop_and_halts_match_the_reference(square):
+    path = _assert_matches_reference(square, (0.3, -0.4), (0.61, 0.0), 1, 1200)
+    assert path.stop_reason == "corner"
+    path = _assert_matches_reference(square, (1.0, -1.0), (1.0, 0.0), 1, 10)
+    assert path.stop_reason == "halt"
+    board = Board.from_corners([(0, 0), (2, 0), (2, 1), (0, 1)])
+    path = _assert_matches_reference(board, (0.0, 0.5), (0.5, 0.0), 2, 10)
+    assert path.stop_reason == "halt" and len(path.points) == 4
+
+
+def test_a_point_revisited_with_the_other_move_is_not_a_repeat():
+    # far from the origin a short slope-0 step rounds back to where it
+    # started: points 26 and 27 are equal, but their next moves differ
+    x0 = 140737488355324
+    board = Board.from_corners([(x0, 2), (x0 + 5, -5), (x0 + 8, -7)])
+    start = (F(3518437208883173611, 25000), F(-265277, 125000))
+    path = _assert_matches_reference(board, (7.0, 0.0), start, 2, 40)
+    assert path.points[26] == path.points[27]
+    assert path.stop_reason == "halt"
+
+
+@pytest.mark.parametrize("first_move_type", [0, 3])
+def test_a_bad_first_move_type_is_refused(square, first_move_type):
+    with pytest.raises(ValueError, match="move type must be 1 or 2"):
+        simulate_float(square, (0.5, 2.0), (0.0, 0.0), first_move_type)
+
+
+def test_distances_to_an_empty_limit_set_are_refused():
+    with pytest.raises(ValueError, match="limit set is empty"):
+        distances([(0.0, 0.0)], [])
+    assert distances([], [(0, 0)]) == ()
+
+
+def _slope_pairs():
+    rational = st.sampled_from(
+        [(F(a.d, a.c), F(b.d, b.c)) for a, b in MOVE_PAIRS if a.c and b.c]
+    )
+    slope = st.floats(-6, 6)
+    floats = st.tuples(slope, slope).filter(lambda s: s[0] != s[1])
+    return rational | floats
+
+
+_coordinate = st.floats(-3, 3) | st.sampled_from([0.0, -0.0, 1.0, -1.0])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), convex_boards(), _slope_pairs(), st.integers(0, 3000))
+def test_simulate_float_matches_the_stepped_reference(
+    data, board, slopes, steps
+):
+    start = data.draw(boundary_points(board))
+    first = data.draw(st.sampled_from([1, 2]))
+    path = _assert_matches_reference(
+        board, slopes, (start.x, start.y), first, steps
+    )
+    limit = [(c.x, c.y) for c in board.corners] + data.draw(
+        st.lists(st.tuples(_coordinate, _coordinate), max_size=12)
+    )
+    assert [d.hex() for d in distances(path.points, limit)] == [
+        d.hex() for d in oracles.nearest_distances_reference(
+            path.points, limit
+        )
+    ]
+
+
+_any_coordinate = _coordinate | st.sampled_from([inf, -inf, nan])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(_any_coordinate, _any_coordinate), max_size=40),
+    st.lists(st.tuples(_coordinate, _coordinate), min_size=1, max_size=40),
+)
+def test_distances_match_the_exhaustive_minimum(points, limit):
+    assert [d.hex() for d in distances(points, limit)] == [
+        d.hex() for d in oracles.nearest_distances_reference(points, limit)
+    ]
 
 
 # -- SVG rendering ----------------------------------------------------------
