@@ -403,10 +403,19 @@ def _cmd_float_sim(args):
         steps=_capped(args.steps, MAX_FLOAT_STEPS, "--steps"),
     )
     dists = None if limit_set is None else distances(path.points, limit_set)
+    # Past a repeated state the path repeats the same tuple objects, and
+    # distances gives a tuple object one distance, so the text after the
+    # step number is made once per object.  Float equality would merge
+    # +0.0 with -0.0 and miss every NaN.
+    texts = {}
     rows = ["step,x,y,dist"]
-    for i, (x, y) in enumerate(path.points):
-        dist = "" if dists is None else repr(dists[i])
-        rows.append(f"{i},{x!r},{y!r},{dist}")
+    for i, point in enumerate(path.points):
+        text = texts.get(id(point))
+        if text is None:
+            x, y = point
+            dist = "" if dists is None else repr(dists[i])
+            text = texts[id(point)] = f"{x!r},{y!r},{dist}"
+        rows.append(f"{i},{text}")
     return "\n".join(rows) + "\n"
 
 

@@ -11,6 +11,28 @@ Steps run on homogeneous integer coordinates: a point is a gcd-reduced
 triple (x, y, w) meaning (x/w, y/w), located and clipped against the
 board's integer edge rows with integer cross-multiplication.  Points
 leave this module as `Point2`s with `Fraction` coordinates.
+
+Coordinates grow to thousands of bits, but two divisibility facts bound
+every gcd a step needs by small integers of the board's edge rows.
+
+* The step's gcd.  Let P = (x, y, w) lie on the edge row e = (a, b, c),
+  its height there 0, and step along the primitive move M = (mc, md, 0).
+  The landing is N = A·P - h·M, with A the exit row's along (its
+  a·mc + b·md) and h P's height over the exit row.  Let
+  along_e = a·mc + b·md, nonzero, as otherwise the step stops.  Then
+  gcd(N) divides A·along_e.  Proof: a·N_x + b·N_y - c·N_w = -h·along_e.
+  Let p be a prime with p^k | gcd(N) and k > v_p(A).  P and M are
+  primitive, so A·P has a component of valuation v_p(A) and h·M one
+  of valuation v_p(h); A·P ≡ h·M mod p^k then forces v_p(h) = v_p(A).
+  Hence k ≤ v_p(h·along_e) = v_p(A) + v_p(along_e).  So `_step` takes
+  gcd(A·along_e, N_x, N_y, N_w), whose first step is a big integer
+  modulo a small one.
+* A point's coordinates.  Let (x, y, w) lie on the row (a, b, c).  Then
+  gcd(x, w) divides b: p^k | x and p^k | w force p^k | b·y, and p does
+  not divide y.  Likewise gcd(y, w) divides a.  With b = 0, x/w is c/a;
+  with a = 0, y/w is c/b.  `_step` returns the row it lands on, and
+  `geometry._point_on_row` builds each `Fraction` from coprime integers
+  after that small-first gcd, without a second one.
 """
 
 from __future__ import annotations
@@ -22,9 +44,10 @@ from math import gcd
 from .geometry import (
     InternalInvariantError,
     LocationKind,
-    Point2,
+    _as_point,
     _from_homogeneous,
     _homogeneous,
+    _point_on_row,
     format_point,
 )
 
@@ -96,13 +119,16 @@ class Trajectory:
 
 
 def _step(board, move, x, y, w):
-    """The antipode of the boundary point (x/w, y/w) as a reduced triple.
+    """The antipode of the boundary point (x/w, y/w), a reduced triple,
+    as (triple, row) with row the board row it lands on.
 
     Returns None when the particle stops there.  The point's heights
     over the board rows come from one pass; along the line
     point + t * move, height i changes at the rate alongs[i] / w, so
     the line leaves the board at the edge with the least height per
-    unit of approach, found by integer cross-multiplication.
+    unit of approach, found by integer cross-multiplication.  The
+    landing's gcd divides exit_along * entering[0] (see the module
+    docstring), so the gcd starts from that small product.
     """
 
     loc, heights = board._locate(x, y, w)
@@ -125,19 +151,19 @@ def _step(board, move, x, y, w):
     # The line crosses the interior with t of the sign of `entering`;
     # it exits where a falling height first reaches zero.
     sign = 1 if entering[0] > 0 else -1
-    exit_h = exit_rate = exit_along = None
-    for h, along in zip(heights, alongs):
+    exit_h = exit_rate = exit_along = exit_row = None
+    for h, along, row in zip(heights, alongs, board.rows):
         rate = -along * sign
         if rate > 0 and (exit_h is None or h * exit_rate < exit_h * rate):
-            exit_h, exit_rate, exit_along = h, rate, along
+            exit_h, exit_rate, exit_along, exit_row = h, rate, along, row
     # t = -h / (w * along) at the exit edge
     nx = x * exit_along - exit_h * mc
     ny = y * exit_along - exit_h * md
     nw = w * exit_along
-    g = gcd(nx, ny, nw)
+    g = gcd(exit_along * entering[0], nx, ny, nw)
     if nw < 0:
         g = -g
-    return nx // g, ny // g, nw // g
+    return (nx // g, ny // g, nw // g), exit_row
 
 
 def antipode(board, move, point):
@@ -148,8 +174,9 @@ def antipode(board, move, point):
     NotOnBoundary for a point off the boundary.
     """
 
+    point = _as_point(point)
     landing = _step(board, move, *_homogeneous(point))
-    return point if landing is None else _from_homogeneous(*landing)
+    return point if landing is None else _point_on_row(*landing)
 
 
 def trace(board, moves, start, first_move_type, max_points=10_000):
@@ -165,9 +192,9 @@ def trace(board, moves, start, first_move_type, max_points=10_000):
         raise ValueError(f"move type must be 1 or 2, got {first_move_type}")
     if max_points < 1:
         raise ValueError(f"max_points must be at least 1, got {max_points}")
-    start = start if isinstance(start, Point2) else Point2(*start)
+    start = _as_point(start)
     origin = _homogeneous(start)
-    path = [origin]
+    landings = []  # (triple, row) after the start
     seen = {origin}
     current = origin
     move_type = first_move_type
@@ -178,23 +205,24 @@ def trace(board, moves, start, first_move_type, max_points=10_000):
         if landing is None:
             forward_stopped = True
             break
+        triple = landing[0]
         next_type = other(move_type)
-        if landing == origin and next_type == first_move_type:
+        if triple == origin and next_type == first_move_type:
             cyclic = True
             break
-        if landing in seen:
+        if triple in seen:
             raise InternalInvariantError(
-                f"position {_from_homogeneous(*landing)} revisited without "
+                f"position {_from_homogeneous(*triple)} revisited without "
                 "closing a cycle"
             )
-        if len(path) == max_points:
+        if len(landings) + 1 == max_points:
             break
-        path.append(landing)
-        seen.add(landing)
-        current = landing
+        landings.append(landing)
+        seen.add(triple)
+        current = triple
         move_type = next_type
     points = [start]
-    points.extend(_from_homogeneous(*p) for p in path[1:])
+    points.extend(_point_on_row(*landing) for landing in landings)
 
     if cyclic:
         status = TrajectoryStatus.CYCLIC
@@ -261,16 +289,15 @@ def partition_into_trajectories(board, moves, points):
     Components come in the order of their smallest points.
     """
 
-    coerced = (p if isinstance(p, Point2) else Point2(*p) for p in points)
-    pool = {_homogeneous(p): p for p in coerced}
+    pool = {_homogeneous(p): p for p in map(_as_point, points)}
     order = sorted(pool, key=pool.get)
     # link[h, r]: the point of the set that h reaches under move type r
     link = {}
     for h in order:
         for r in (1, 2):
             landing = _step(board, moves[r - 1], *h)
-            if landing in pool:
-                link[h, r] = landing
+            if landing is not None and landing[0] in pool:
+                link[h, r] = landing[0]
     done = set()
     out = []
     for h in order:

@@ -73,6 +73,11 @@ class Point2:
         return f"({self.x}, {self.y})"
 
 
+def _as_point(point):
+    """A Point2 as is, or the Point2 of an (x, y) pair."""
+    return point if isinstance(point, Point2) else Point2(*point)
+
+
 def point_denominator(point):
     """LCM of the coordinate denominators (1 for lattice points)."""
     return lcm(point.x.denominator, point.y.denominator)
@@ -126,6 +131,40 @@ def _homogeneous(point):
 def _from_homogeneous(x, y, w):
     """The Point2 (x/w, y/w) of a homogeneous triple."""
     return Point2(Fraction(x, w), Fraction(y, w))
+
+
+def _coprime_fraction(numerator, denominator):
+    """Fraction(numerator, denominator) for coprime integers with a
+    positive denominator, built without a gcd: the slots set as
+    CPython 3.12's Fraction._from_coprime_ints sets them."""
+    out = object.__new__(Fraction)
+    out._numerator = numerator
+    out._denominator = denominator
+    return out
+
+
+def _point_on_row(triple, row):
+    """The Point2 (x/w, y/w) of a reduced triple (x, y, w) with w > 0
+    that lies on the row (a, b, c): a·x + b·y = c·w, (a, b) != (0, 0).
+
+    A prime power dividing x and w divides b·y, and the prime does not
+    divide y, so gcd(x, w) divides b; likewise gcd(y, w) divides a.
+    Each gcd therefore starts from the small row entry.  With b = 0,
+    x/w is c/a; with a = 0, y/w is c/b.
+    """
+    x, y, w = triple
+    a, b, c = row
+    if b:
+        g = gcd(b, x, w)
+        px = _coprime_fraction(x // g, w // g)
+    else:
+        px = Fraction(c, a)
+    if a:
+        g = gcd(a, y, w)
+        py = _coprime_fraction(y // g, w // g)
+    else:
+        py = Fraction(c, b)
+    return Point2(px, py)
 
 
 def cross(ax, ay, bx, by):
@@ -235,9 +274,7 @@ class Board:
 
     @classmethod
     def from_corners(cls, corners):
-        corners = tuple(
-            p if isinstance(p, Point2) else Point2(*p) for p in corners
-        )
+        corners = tuple(map(_as_point, corners))
         n = len(corners)
         if n < 3:
             raise NonConvexBoard("need at least three corners")
@@ -260,14 +297,16 @@ class Board:
         return cls.from_corners([(0, 0), (1, 0), (1, 1), (0, 1)])
 
     def contains(self, point):
-        return self._locate(*_homogeneous(point))[0] is not _OUTSIDE
+        return self._locate(*_homogeneous(_as_point(point)))[0] is not _OUTSIDE
 
     def interior_contains(self, point):
+        point = _as_point(point)
         return all(e.side_of(point) > 0 for e in self.edges)
 
     def classify(self, point):
-        """Locate a point: interior, on edge i, at corner i, or outside."""
-        return self._locate(*_homogeneous(point))[0]
+        """Locate a point (a Point2 or an (x, y) pair): interior, on
+        edge i, at corner i, or outside."""
+        return self._locate(*_homogeneous(_as_point(point)))[0]
 
     def _locate(self, x, y, w):
         """classify for the point (x/w, y/w), w > 0, plus its heights.

@@ -1,5 +1,6 @@
 import hashlib
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from riderflow import (
     Board,
     InternalInvariantError,
+    LocationKind,
     NotOnBoundary,
     Point2,
     Trajectory,
@@ -53,6 +55,14 @@ def test_antipode_edge_supporting_line(square):
     vertical = canonical_move(0, 1)
     assert antipode(square, vertical, Point2(F(1, 2), 0)) \
         == Point2(F(1, 2), 1)
+
+
+def test_antipode_accepts_an_xy_pair(square):
+    m = canonical_move(2, 1)
+    assert antipode(square, m, (0, 0)) == Point2(1, F(1, 2))
+    # a stop returns the point itself, as a Point2
+    stopped = antipode(square, m, (1, 0))
+    assert type(stopped) is Point2 and stopped == Point2(1, 0)
 
 
 def test_antipode_rejects_off_boundary(square):
@@ -284,6 +294,42 @@ def test_trace_matches_a_trace_stepped_with_the_oracle(data):
 
 def _hexagon():
     return Board.from_corners([(0, 0), (3, 0), (4, 2), (3, 4), (0, 4), (-1, 2)])
+
+
+# 300-point windows whose coordinates reach 100-260 bits: corner starts
+# (two entering edges) and edge starts, cut by the budget or stopped
+# behind the start.
+REAL_SIZE_ORBITS = [
+    ("pentagon", ORTH, 1, 2),
+    ("pentagon", (VERTICAL, canonical_move(3, 1)), 0, 1),
+    ("pentagon", ORTH, F(1, 3), 1),
+    ("pentagon", (VERTICAL, canonical_move(3, 1)), F(2, 5), 2),
+    ("hexagon", ORTH, 1, 2),
+    ("hexagon", (VERTICAL, canonical_move(3, 1)), 3, 2),
+    ("hexagon", ORTH, F(1, 3), 1),
+    ("hexagon", (VERTICAL, canonical_move(3, 1)), F(1, 3), 2),
+]
+
+
+@pytest.mark.parametrize("board_name, moves, start, first", REAL_SIZE_ORBITS)
+def test_trace_matches_the_stepped_oracle_at_300_points(
+    request, board_name, moves, start, first
+):
+    board = (request.getfixturevalue("pentagon") if board_name == "pentagon"
+             else _hexagon())
+    # an int picks a corner, a Fraction a point of the bottom edge
+    if type(start) is int:
+        start, kind = board.corners[start], LocationKind.CORNER
+    else:
+        start, kind = Point2(start, 0), LocationKind.EDGE
+    assert board.classify(start).kind is kind
+    t = trace(board, moves, start, first, max_points=300)
+    assert len(t) == 300
+    assert t == oracles.stepped_trace(board, moves, start, first, 300)
+    for p in t.points:
+        for v in (p.x, p.y):
+            assert type(v) is Fraction
+            assert v.denominator > 0 and gcd(v.numerator, v.denominator) == 1
 
 
 # sha256 of format_trajectory for 2,000-point orbits whose coordinates

@@ -1,3 +1,4 @@
+import pickle
 from fractions import Fraction
 from math import gcd
 
@@ -20,7 +21,7 @@ from riderflow import (
     point_denominator,
 )
 
-from riderflow.geometry import Edge, line_through
+from riderflow.geometry import Edge, _point_on_row, line_through
 
 from conftest import boundary_points, convex_boards
 
@@ -108,6 +109,21 @@ def test_classify_square(square):
     assert square.classify(Point2(-1, 0)).kind is LocationKind.OUTSIDE
 
 
+def test_contains_accepts_an_xy_pair(square):
+    assert square.contains((Fraction(1, 2), 1))
+    assert not square.contains((2, 0))
+
+
+def test_classify_accepts_an_xy_pair(square):
+    assert square.classify((0, 0)) == square.classify(Point2(0, 0))
+    assert square.classify((Fraction(1, 2), 0)).kind is LocationKind.EDGE
+
+
+def test_interior_contains_accepts_an_xy_pair(square):
+    assert square.interior_contains((Fraction(1, 3), Fraction(2, 3)))
+    assert not square.interior_contains((0, Fraction(1, 2)))
+
+
 def test_classify_pentagon_corners(pentagon):
     for i, corner in enumerate(pentagon.corners):
         loc = pentagon.classify(corner)
@@ -187,3 +203,42 @@ def test_line_through_is_a_primitive_row_through_both_points(x1, y1, x2, y2):
     # positive on the left of q - p
     left = Point2(p.x - (q.y - p.y), p.y + (q.x - p.x))
     assert a * left.x + b * left.y > c
+
+
+def test_fraction_keeps_the_slots_the_point_builder_sets():
+    # _point_on_row builds each Fraction by setting these two slots
+    assert Fraction.__slots__ == ("_numerator", "_denominator")
+
+
+@st.composite
+def triples_on_rows(draw):
+    """A reduced triple (x, y, w), w > 0, of up to about 2,000 bits, and
+    a row (a, b, c) through it, a·x + b·y = c·w; a or b is 0 in a third
+    of the draws each."""
+    a, b, c = (draw(st.integers(-30, 30)) for _ in range(3))
+    zero = draw(st.sampled_from("ab-"))
+    a = 0 if zero == "a" else a
+    b = 0 if zero == "b" else b
+    assume((a, b) != (0, 0))
+    big = st.integers(-(1 << 2000), 1 << 2000)
+    s, t, u = draw(big), draw(big), draw(big)
+    # integer combinations of three solutions of a·x + b·y - c·w = 0
+    x, y, w = s * b + t * c, u * c - s * a, t * a + u * b
+    assume(w != 0)
+    g = gcd(x, y, w) if w > 0 else -gcd(x, y, w)
+    return (x // g, y // g, w // g), (a, b, c)
+
+
+@given(triples_on_rows())
+def test_point_on_row_matches_the_fraction_constructor(case):
+    (x, y, w), row = case
+    point = _point_on_row((x, y, w), row)
+    for got, want in ((point.x, Fraction(x, w)), (point.y, Fraction(y, w))):
+        assert type(got) is Fraction
+        assert got == want
+        assert got.numerator == want.numerator
+        assert got.denominator == want.denominator
+        assert hash(got) == hash(want)
+        again = pickle.loads(pickle.dumps(got))
+        assert type(again) is Fraction and again == want
+        assert again.numerator == want.numerator
