@@ -63,7 +63,6 @@ from .counting import (
     conjecture_report,
     count,
     count_series,
-    evaluate_fit,
     fit,
     minimal_period,
 )

@@ -24,10 +24,11 @@ from operator import mul
 from .geometry import (
     InternalInvariantError,
     LocationKind,
-    Point2,
+    _as_point,
+    _from_homogeneous,
     _homogeneous,
 )
-from .dynamics import TrajectoryStatus, other, trace
+from .dynamics import TrajectoryStatus, _alongs, other, trace
 
 
 class OutsideBoard(ValueError):
@@ -112,7 +113,7 @@ def _fixation_normal(dim, i, row):
 def arrangement_of(board, moves, pieces):
     """Integer normals of the hyperplanes through a configuration: its
     attacks, then each piece's edge fixations."""
-    pieces = tuple(p if isinstance(p, Point2) else Point2(*p) for p in pieces)
+    pieces = tuple(map(_as_point, pieces))
     dim = 2 * len(pieces)
     normals = [
         _attack_normal(dim, i, j, move)
@@ -206,9 +207,7 @@ def _points_at(path, t):
     """The path's points at the parameter t."""
     p, q = t.numerator, t.denominator
     return tuple(
-        Point2(
-            Fraction(x1 * p + x0 * q, w * q), Fraction(y1 * p + y0 * q, w * q)
-        )
+        _from_homogeneous(x1 * p + x0 * q, y1 * p + y0 * q, w * q)
         for x1, x0, y1, y0, w in path
     )
 
@@ -225,6 +224,7 @@ def enumerate_rigid_cycles(board, moves, max_length):
         raise ValueError(f"max_length must be nonnegative, got {max_length}")
     rows = board.rows
     n = len(rows)
+    rated = [(move, _alongs(board, move)) for move in moves]
     found = {}
 
     def accept(points):
@@ -247,14 +247,14 @@ def enumerate_rigid_cycles(board, moves, max_length):
             )
         found[key] = traj
 
-    def land(family, move, j, lo, hi):
-        """The family slid along move onto edge j and its clipped window,
-        or None."""
-        a, b, c = rows[j]
-        mc, md = move.c, move.d
-        along = a * mc + b * md
+    def land(family, move, alongs, j, lo, hi):
+        """The family slid along move, whose rates are alongs, onto edge
+        j and its clipped window, or None."""
+        along = alongs[j]
         if along == 0:
             return None
+        a, b, c = rows[j]
+        mc, md = move.c, move.d
         x1, x0, y1, y0, w = family
         h1 = a * x1 + b * y1
         h0 = a * x0 + b * y0 - c * w
@@ -271,10 +271,10 @@ def enumerate_rigid_cycles(board, moves, max_length):
 
     def descend(path, current_edge, move_type, lo, hi, start_edge):
         depth = len(path)
-        move = moves[move_type - 1]
+        walk = rated[move_type - 1]
         # try to close the cycle back onto the start edge
         if depth >= 4 and depth % 2 == 0:
-            landing = land(path[-1], move, start_edge, lo, hi)
+            landing = land(path[-1], *walk, start_edge, lo, hi)
             if landing is not None:
                 (x1, x0, y1, y0, w), (c_lo, c_hi) = landing
                 s1, s0, t1, t0, v = path[0]
@@ -291,7 +291,7 @@ def enumerate_rigid_cycles(board, moves, max_length):
         for edge_index in range(start_edge, n):
             if edge_index == current_edge:
                 continue
-            landing = land(path[-1], move, edge_index, lo, hi)
+            landing = land(path[-1], *walk, edge_index, lo, hi)
             if landing is not None:
                 family, (w_lo, w_hi) = landing
                 descend(path + [family], edge_index, other(move_type),

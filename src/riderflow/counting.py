@@ -30,7 +30,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 from itertools import permutations
 from math import factorial, prod
@@ -61,16 +60,6 @@ class CountSeries:
 
 # ---------------------------------------------------------------------------
 # Weighted flats: the part of the count that depends on q alone.
-
-
-def _integer_partitions(q, largest=None):
-    """Block-size profiles of q pieces, largest block first."""
-    if q == 0:
-        yield ()
-        return
-    for part in range(min(q, largest or q), 0, -1):
-        for rest in _integer_partitions(q - part, part):
-            yield (part,) + rest
 
 
 def _set_partitions(q):
@@ -156,21 +145,20 @@ def _flat_table(q):
     """(shape, weight) for every flat of q pieces with nonzero weight.
 
     One move-1 partition per block-size profile stands for all set
-    partitions with that profile, so the weight carries their number;
-    it is paired with every move-2 partition.
+    partitions with that profile, so the weight carries their number,
+    counted while the partitions are listed; it is paired with every
+    move-2 partition.
     """
-    seconds = [
-        ([2 * b + 1 for b in labels], _mobius(Counter(labels).values()))
-        for labels in _set_partitions(q)
-    ]
+    seconds, profiles = [], Counter()
+    for labels in _set_partitions(q):
+        sizes = Counter(labels).values()
+        seconds.append(([2 * b + 1 for b in labels], _mobius(sizes)))
+        profiles[tuple(sorted(sizes, reverse=True))] += 1
     table = {}
     forms, labelled = {}, {}
-    for sizes in _integer_partitions(q):
+    for sizes, number in profiles.items():
         first = [2 * b for b, size in enumerate(sizes) for _ in range(size)]
-        relabellings = factorial(q)
-        for size, times in Counter(sizes).items():
-            relabellings //= factorial(size) ** times * factorial(times)
-        weight = relabellings * _mobius(sizes)
+        weight = number * _mobius(sizes)
         for second, mu in seconds:
             shape = _shape(set(zip(first, second)), forms, labelled)
             table[shape] = table.get(shape, 0) + weight * mu
@@ -325,13 +313,6 @@ class QuasipolynomialFit:
     constituents: tuple  # per residue class: Fraction coeffs, ascending
 
 
-def _eval_poly(coeffs, n):
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * n + c
-    return acc
-
-
 def _fits(values, period, degree):
     """Whether each residue class lies on a polynomial of degree <= degree.
 
@@ -379,10 +360,6 @@ def fit(series, period):
             [series.values[n] for n in ns],
         )))
     return QuasipolynomialFit(degree, period, tuple(constituents))
-
-
-def evaluate_fit(fitted, n):
-    return _eval_poly(fitted.constituents[n % fitted.period], n)
 
 
 def minimal_period(series):

@@ -30,6 +30,7 @@ from .geometry import (
     InternalInvariantError,
     LocationKind,
     Point2,
+    _as_point,
     _from_homogeneous,
     line_through,
     point_denominator,
@@ -437,18 +438,16 @@ def characterize_vertex(board, moves, pieces):
     deficiency and no decomposition.
     """
 
-    pieces = tuple(p if isinstance(p, Point2) else Point2(*p) for p in pieces)
+    pieces = tuple(map(_as_point, pieces))
     rank = matrix_rank(arrangement_of(board, moves, pieces))
     q = len(pieces)
     if rank < 2 * q:
         return VertexDecomposition(False, rank, 2 * q - rank, (), (), ())
 
-    unique = sorted(set(pieces))
-    boundary = [
-        p for p in unique
-        if board.classify(p).kind is not LocationKind.INTERIOR
-    ]
-    interior = [p for p in unique if p not in set(boundary)]
+    boundary, interior = [], []
+    for p in sorted(set(pieces)):
+        inside = board.classify(p).kind is LocationKind.INTERIOR
+        (interior if inside else boundary).append(p)
     components = partition_into_trajectories(board, moves, boundary)
     corner_components = []
     cycle_components = []

@@ -118,11 +118,17 @@ class Trajectory:
         return len(self.points)
 
 
-def _step(board, move, x, y, w):
+def _alongs(board, move):
+    """The move's rate over each board row (a, b, c): a·mc + b·md."""
+    return [a * move.c + b * move.d for a, b, _ in board.rows]
+
+
+def _step(board, move, alongs, x, y, w):
     """The antipode of the boundary point (x/w, y/w), a reduced triple,
     as (triple, row) with row the board row it lands on.
 
-    Returns None when the particle stops there.  The point's heights
+    Returns None when the particle stops there.  alongs is
+    _alongs(board, move), computed once per walk.  The point's heights
     over the board rows come from one pass; along the line
     point + t * move, height i changes at the rate alongs[i] / w, so
     the line leaves the board at the edge with the least height per
@@ -138,8 +144,6 @@ def _step(board, move, x, y, w):
         raise NotOnBoundary(
             f"{_from_homogeneous(x, y, w)} is interior, not on the boundary"
         )
-    mc, md = move.c, move.d
-    alongs = [a * mc + b * md for a, b, _ in board.rows]
     if loc.kind is LocationKind.EDGE:
         entering = (alongs[loc.index],)
     else:  # a corner, where edges index - 1 and index meet
@@ -157,8 +161,8 @@ def _step(board, move, x, y, w):
         if rate > 0 and (exit_h is None or h * exit_rate < exit_h * rate):
             exit_h, exit_rate, exit_along, exit_row = h, rate, along, row
     # t = -h / (w * along) at the exit edge
-    nx = x * exit_along - exit_h * mc
-    ny = y * exit_along - exit_h * md
+    nx = x * exit_along - exit_h * move.c
+    ny = y * exit_along - exit_h * move.d
     nw = w * exit_along
     g = gcd(exit_along * entering[0], nx, ny, nw)
     if nw < 0:
@@ -175,7 +179,7 @@ def antipode(board, move, point):
     """
 
     point = _as_point(point)
-    landing = _step(board, move, *_homogeneous(point))
+    landing = _step(board, move, _alongs(board, move), *_homogeneous(point))
     return point if landing is None else _point_on_row(*landing)
 
 
@@ -194,6 +198,7 @@ def trace(board, moves, start, first_move_type, max_points=10_000):
         raise ValueError(f"max_points must be at least 1, got {max_points}")
     start = _as_point(start)
     origin = _homogeneous(start)
+    rated = [(move, _alongs(board, move)) for move in moves]
     landings = []  # (triple, row) after the start
     seen = {origin}
     current = origin
@@ -201,7 +206,7 @@ def trace(board, moves, start, first_move_type, max_points=10_000):
     forward_stopped = False
     cyclic = False
     while True:
-        landing = _step(board, moves[move_type - 1], *current)
+        landing = _step(board, *rated[move_type - 1], *current)
         if landing is None:
             forward_stopped = True
             break
@@ -227,8 +232,8 @@ def trace(board, moves, start, first_move_type, max_points=10_000):
     if cyclic:
         status = TrajectoryStatus.CYCLIC
     else:
-        backward_move = moves[other(first_move_type) - 1]
-        backward_open = _step(board, backward_move, *origin) is not None
+        backward = rated[other(first_move_type) - 1]
+        backward_open = _step(board, *backward, *origin) is not None
         status = _END_STATUS[(backward_open, not forward_stopped)]
     return Trajectory(tuple(points), first_move_type, status)
 
@@ -291,11 +296,12 @@ def partition_into_trajectories(board, moves, points):
 
     pool = {_homogeneous(p): p for p in map(_as_point, points)}
     order = sorted(pool, key=pool.get)
+    rated = [(move, _alongs(board, move)) for move in moves]
     # link[h, r]: the point of the set that h reaches under move type r
     link = {}
     for h in order:
         for r in (1, 2):
-            landing = _step(board, moves[r - 1], *h)
+            landing = _step(board, *rated[r - 1], *h)
             if landing is not None and landing[0] in pool:
                 link[h, r] = landing[0]
     done = set()

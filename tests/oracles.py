@@ -8,6 +8,7 @@ shares code with `riderflow.counting`.
 `Fraction` and checks every surplus sample against it, where
 `riderflow.counting.fit` tests a period by integer differences and
 interpolates with the library's one elimination routine.
+`evaluate_fit` evaluates a fitted quasipolynomial at n.
 
 `classify`, `antipode` and `stepped_trace` are the bounce step over
 `Fraction` arithmetic: locate the point with one `Edge.side_of` per
@@ -28,8 +29,9 @@ lies on a segment when it is collinear with it and between its ends.
 crossing of the inclined family, one `rho` power each.
 
 `fraction_rank` and `fraction_solve` are Gaussian elimination over
-`Fraction` with row swaps, and `subset_vertex_oracle` solves every
+`Fraction` with row swaps, and `subset_vertices` solves every
 2q-subset of the candidate rows with it, building those rows itself;
+`subset_vertex_oracle` takes the lcm of their denominators.
 `riderflow.arrangement` eliminates fraction-free over integers, and
 `riderflow.vertex_oracle` grows only independent bases through it.
 
@@ -170,6 +172,19 @@ def newton_fit(values, period, degree):
                 return None
         constituents.append(tuple(coeffs))
     return tuple(constituents)
+
+
+def _eval_poly(coeffs, n):
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * n + c
+    return acc
+
+
+def evaluate_fit(fitted, n):
+    """A `QuasipolynomialFit`'s value at n, by Horner's rule on the
+    constituent of n's residue class."""
+    return _eval_poly(fitted.constituents[n % fitted.period], n)
 
 
 def classify(board, point):
@@ -528,9 +543,9 @@ def fraction_solve(rows, rhs):
     return solution
 
 
-def subset_vertex_oracle(board, moves, q):
-    """The lcm of the piece denominators over every solution of 2q of the
-    edge fixations and attack hyperplanes that lies in the closed board,
+def subset_vertices(board, moves, q):
+    """Each distinct solution, a tuple of q pieces, of 2q of the edge
+    fixations and attack hyperplanes that lies in the closed board,
     trying every 2q-subset of those rows."""
     dim = 2 * q
     rows = []
@@ -545,17 +560,24 @@ def subset_vertex_oracle(board, moves, q):
             normal[2 * i], normal[2 * i + 1] = move.d, -move.c
             normal[2 * j], normal[2 * j + 1] = -move.d, move.c
             rows.append((normal, 0))
-    value = 1
+    seen = set()
     for subset in combinations(rows, dim):
         solution = fraction_solve([r[0] for r in subset],
                                   [r[1] for r in subset])
         if solution is None:
             continue
-        pieces = [Point2(solution[2 * i], solution[2 * i + 1])
-                  for i in range(q)]
-        if all(board.contains(p) for p in pieces):
-            for p in pieces:
-                value = lcm(value, point_denominator(p))
+        pieces = tuple(Point2(solution[2 * i], solution[2 * i + 1])
+                       for i in range(q))
+        if pieces not in seen and all(board.contains(p) for p in pieces):
+            seen.add(pieces)
+            yield pieces
+
+
+def subset_vertex_oracle(board, moves, q):
+    """The lcm of the piece denominators over every subset vertex."""
+    value = 1
+    for pieces in subset_vertices(board, moves, q):
+        value = lcm(value, *map(point_denominator, pieces))
     return value
 
 

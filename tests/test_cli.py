@@ -133,6 +133,7 @@ def test_config_round_trip():
         '{"board": {"corners": [["0","0"],["1","0"],["3/2","1"],'
         '["1/2","2"],["-1/2","1"]]}, "moves": [[1,1],[1,-1]],'
         ' "n_max": 12, "first_move": 2}',
+        '{"moves": [[3,1],[1,-3]], "start": ["0","1/2"], "max_steps": 40}',
     ]
     for text in texts:
         cfg = parse_config(text)
@@ -534,6 +535,31 @@ def test_missing_config_file(capsys):
         capsys, "denominator", "--config", "/nonexistent.json", "--q", "2"
     )
     assert code == 2
+
+
+# (config file text or None, argv, error text): each reaches its own check
+BAD_INPUTS = [
+    (None, ["denominator", "--moves", "x,1", "1,2", "--q", "2"],
+     "a move component must be an integer"),
+    ('{%s, "board": 5}' % MOVES_FIELD, ["denominator", "--q", "2"],
+     "board must be"),
+    ("[1]", ["denominator", "--q", "2"], "config must be a JSON object"),
+    ('{%s, "first_move": 3}' % MOVES_FIELD, ["denominator", "--q", "2"],
+     "first_move must be 1 or 2"),
+    (None, ["float-sim", "--slopes", "1/2", "1/2", "--start", "0,0"],
+     "slopes must differ"),
+]
+
+
+@pytest.mark.parametrize("config, argv, message", BAD_INPUTS)
+def test_bad_input_exits_2(capsys, tmp_path, config, argv, message):
+    if config is not None:
+        path = tmp_path / "problem.json"
+        path.write_text(config)
+        argv = [*argv, "--config", str(path)]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and message in err
 
 
 def test_repeated_runs_identical(capsys):
@@ -1041,14 +1067,29 @@ HOSTILE_SIZES = [
 ]
 
 
-@pytest.mark.parametrize("argv", HOSTILE_SIZES)
-def test_hostile_size_exits_2(argv):
+def _run_module(*argv):
+    """`python -m riderflow` with this checkout's src on PYTHONPATH."""
     src = Path(__file__).resolve().parents[1] / "src"
     path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
-    done = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "riderflow", *argv],
         capture_output=True, text=True, timeout=20,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+@pytest.mark.parametrize("argv", HOSTILE_SIZES)
+def test_hostile_size_exits_2(argv):
+    done = _run_module(*argv)
     assert (done.returncode, done.stdout) == (2, ""), done.stderr
     assert done.stderr.startswith("error:")
+
+
+def test_module_entry_point_prints_what_main_prints(capsys):
+    argv = ["count", "--moves", "1,1", "1,-1", "--q", "2", "--n-max", "4"]
+    code, out, _ = run_cli(capsys, *argv)
+    done = _run_module(*argv)
+    assert code == 0 and out
+    assert (done.returncode, done.stdout) == (0, out), done.stderr
+    help_run = _run_module("--help")
+    assert help_run.returncode == 0 and help_run.stdout.startswith("usage:")

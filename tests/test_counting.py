@@ -19,16 +19,17 @@ from riderflow import (
     count,
     count_series,
     denominator,
-    evaluate_fit,
     fit,
     minimal_period,
 )
+from riderflow.counting import _flat_table
 
 from conftest import MOVE_PAIRS, canonical_move_pairs, move_pairs
 from oracles import (
     attack_masks,
     backtrack_count,
     count_pairs_formula,
+    evaluate_fit,
     newton_fit,
 )
 
@@ -98,6 +99,26 @@ def test_pair_counts_match_the_closed_count(name):
         assert count(moves, 2, n) == count_pairs_formula(moves, n)
 
 
+# n where the backtracker cannot follow: the counts that period
+# certificates rest on reach n in the thousands
+LARGE_N = (100, 250)
+
+
+@pytest.mark.parametrize("n", LARGE_N)
+def test_pair_counts_match_the_closed_count_at_large_n(n):
+    for moves in NAMED_PAIRS.values():
+        assert count(moves, 2, n) == count_pairs_formula(moves, n)
+
+
+@pytest.mark.parametrize("n", LARGE_N)
+def test_a_quarter_turn_keeps_triple_counts_at_large_n(n):
+    # rotating the square maps placements to placements, but it changes
+    # every line key, so the two riders' line graphs are indexed apart
+    moves = (canonical_move(3, 2), canonical_move(4, -3))
+    turned = (canonical_move(2, -3), canonical_move(3, 4))
+    assert count(moves, 3, n) == count(turned, 3, n)
+
+
 def test_rook_counts_match_the_closed_form():
     # q rooks: choose q rows and q columns, then match them up; flats
     # with cycles appear from q = 4, and at q = 8 a pinned vertex can be
@@ -134,6 +155,29 @@ def test_count_series_digest():
         )
     assert len(cases) == 88
     assert digest.hexdigest() == COUNT_SERIES_SHA256
+
+
+# sha256 of repr(sorted(_flat_table(q))), recorded while each block-size
+# profile's weight came from the relabelling formula q!/prod(s!^k k!).
+# The table's entry order is free, since count only sums its terms.
+FLAT_TABLE_SHA256 = {
+    0: "b94b1cb7d1cbc4e4791574cd93e5514a2b093fe640d2f7d3843a71615941f761",
+    1: "1898cf97e0ebd48faf98b373db58b36d368682d25a250338139bf39466353864",
+    2: "eeaca8cf7d9dd0e319fb0cbd6141e87f143a6f4243d81a655b8424bc55942ee6",
+    3: "fccc232f1d0ec5d7830678caed724e9ba9cf3f412e6ba1f31732c9d3b13c858f",
+    4: "b714f6981b64f4b6955c01d35b5a9f5944548c9926b9843648b1bcb52fba57a3",
+    5: "cff574fd941d65921efd3ad306fe206ac85cfb53d52ebcc6f4faf511b5a59807",
+    6: "cb6ffe5aee085a4d14b245e30172423ade341e01ef7c11b1df7425f5c7319be3",
+    7: "870e07a6ba6c1b6337a42f3a2cd13cb1326a2a76ba3c05424e61d16ba0e2f473",
+    8: "2506d736feb058714338ad6dcd189d1ad34e0ffca708601623e6c3f015ab5574",
+}
+
+
+@pytest.mark.parametrize("q", sorted(FLAT_TABLE_SHA256))
+def test_flat_table_digest(q):
+    table = sorted(_flat_table(q))
+    digest = hashlib.sha256(repr(table).encode()).hexdigest()
+    assert digest == FLAT_TABLE_SHA256[q]
 
 
 def _run_counting(code, timeout):

@@ -133,6 +133,11 @@ def test_denominator_trivial_cases(square):
     assert denominator(square, INCLINED, 1).value == 1
 
 
+def test_denominator_rejects_a_negative_q(square):
+    with pytest.raises(ValueError, match="q must be nonnegative"):
+        denominator(square, INCLINED, -1)
+
+
 def test_denominator_rejects_parallel_moves(square):
     with pytest.raises(ValueError):
         denominator(square, (canonical_move(2, 1), canonical_move(2, 1)), 3)
@@ -197,6 +202,16 @@ def test_vertex_oracle_matches_the_subset_reference(board, moves):
             == oracles.subset_vertex_oracle(board, moves, q)
 
 
+@pytest.mark.parametrize("moves", [BISHOP, ORTH, INCLINED])
+@pytest.mark.parametrize("q", [1, 2])
+def test_every_subset_vertex_decomposes(square, pentagon, moves, q):
+    # the paper's characterization, run on each vertex the reference
+    # finds; q = 3 takes seconds per case and stays out of this suite
+    for board in (square, pentagon):
+        for pieces in oracles.subset_vertices(board, moves, q):
+            assert characterize_vertex(board, moves, pieces).vertex, pieces
+
+
 @pytest.mark.parametrize("moves", canonical_move_pairs(2))
 def test_denominator_matches_the_vertex_oracle_at_q3_on_the_square(moves):
     assert denominator(Board.square(), moves, 3).value \
@@ -219,6 +234,20 @@ def test_closed_form_orthogonal_values():
         == [1, 2, 20, 120, 240]
     with pytest.raises(ValueError):
         closed_form_orthogonal(1, 3)
+
+
+def test_inclined_crossing_index_starts_at_1():
+    with pytest.raises(ValueError, match="starts at 1"):
+        inclined_crossing_point(INCLINED, 0)
+
+
+@pytest.mark.parametrize("closed_form, args", [
+    (closed_form_orthogonal, (2, -1)),
+    (closed_form_mirror, (2, 1, -1)),
+])
+def test_closed_forms_reject_a_negative_q(closed_form, args):
+    with pytest.raises(ValueError, match="q must be nonnegative"):
+        closed_form(*args)
 
 
 def test_closed_form_mirror_values():

@@ -109,6 +109,17 @@ def test_trace_five_point_window(square):
     assert [t.move_type_at(i) for i in range(4)] == [1, 2, 1, 2]
 
 
+@pytest.mark.parametrize("first_move_type, max_points, message", [
+    (3, 10, "move type must be 1 or 2"),
+    (1, 0, "max_points must be at least 1"),
+])
+def test_trace_refuses_a_bad_move_type_or_cap(
+    square, first_move_type, max_points, message
+):
+    with pytest.raises(ValueError, match=message):
+        trace(square, ORTH, Point2(0, 0), first_move_type, max_points)
+
+
 def test_trace_truncation(square):
     t = trace(square, INCLINED, Point2(0, 0), 1, max_points=7)
     assert t.status is TrajectoryStatus.TRUNCATED

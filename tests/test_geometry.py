@@ -59,6 +59,21 @@ def test_point_text_round_trip(x, y):
     assert parse_point(format_point(p)) == p
 
 
+def test_parse_point_needs_two_coordinates():
+    with pytest.raises(ValueError, match="expected 'x,y'"):
+        parse_point("1")
+
+
+@pytest.mark.parametrize("c, d, error, message", [
+    (0, 0, ZeroMove, r"\(0, 0\)"),
+    (2, 4, ValueError, "not primitive"),
+    (-1, 2, ValueError, "non-canonical sign"),
+])
+def test_move_refuses_a_noncanonical_vector(c, d, error, message):
+    with pytest.raises(error, match=message):
+        Move(c, d)
+
+
 def test_point_denominator():
     assert point_denominator(Point2(0, 0)) == 1
     assert point_denominator(Point2(Fraction(5, 6), Fraction(1, 4))) == 12
