@@ -170,7 +170,7 @@ def _board_from_value(value):
 
 def _json_object(text):
     try:
-        data = json.loads(text)
+        data = json.loads(text, parse_float=str)
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad JSON: {exc}") from exc
     if not isinstance(data, dict):
@@ -251,7 +251,9 @@ def serialize_config(config):
 
 def _board_value(text):
     """The --board value as a config field: "square" or a file's JSON."""
-    return text if text == "square" else json.loads(Path(text).read_text())
+    if text == "square":
+        return text
+    return json.loads(Path(text).read_text(), parse_float=str)
 
 
 def _resolve_config(args):
@@ -310,19 +312,18 @@ def _require(value, name):
     return value
 
 
-def _emit(text, out_path):
-    """Write text, or an iterable of text chunks, to out_path or stdout."""
-    chunks = [text] if isinstance(text, str) else text
+def _emit(output, out_path):
+    """Write a command's output to out_path or stdout: a payload dict as
+    JSON, text, or an iterable of text chunks."""
+    if isinstance(output, dict):
+        with _unlimited_digits():
+            output = json.dumps(output, indent=2) + "\n"
+    chunks = [output] if isinstance(output, str) else output
     if out_path and out_path != "-":
         with open(out_path, "w") as out:
             out.writelines(chunks)
     else:
         sys.stdout.writelines(chunks)
-
-
-def _json_text(payload):
-    with _unlimited_digits():
-        return json.dumps(payload, indent=2) + "\n"
 
 
 def _point_payload(point, decimal):
@@ -353,18 +354,12 @@ def _render_path(trajectory, **style):
 # Subcommands.
 
 
-def _cmd_simulate(args):
-    config = _resolve_config(args)
+def _cmd_simulate(args, config):
     start = _require(config.start, "a start point (--start x,y)")
-    trajectory = trace(
-        config.board,
-        config.moves,
-        start,
-        config.first_move,
-        max_points=_trace_points(config),
-    )
+    trajectory = trace(config.board, config.moves, start, config.first_move,
+                       max_points=_trace_points(config))
     if args.format == "json":
-        return _json_text(_trajectory_payload(trajectory, args.decimal))
+        return _trajectory_payload(trajectory, args.decimal)
     if args.format == "svg":
         spec = RenderSpec(paths=(_render_path(trajectory),))
         return render_svg(config.board, spec)
@@ -379,30 +374,23 @@ def _cmd_float_sim(args):
     start = parse_point(args.start)
     if not board.contains(start):
         raise ParseError(f"{start} is outside the board")
-    limit_set = None
+    limit_points = []
     if args.limit == "orbit":
         # the attracting 4-cycle of the unit square
         _square_only(board, "--limit orbit")
-        limit_set = [
-            (p.x, p.y) for p in attractor_orbit(slopes[0], slopes[1])
-        ]
+        limit_points = attractor_orbit(*slopes)
     elif args.limit == "corner":
-        moves = _canonical_pair(
-            [(s.denominator, s.numerator) for s in slopes]
-        )
-        limit_set = [
-            (p.x, p.y)
-            for trajectory in corner_trajectories(board, moves, max_points=256)
-            for p in trajectory.points
-        ]
+        moves = _canonical_pair([(s.denominator, s.numerator) for s in slopes])
+        for trajectory in corner_trajectories(board, moves, max_points=256):
+            limit_points += trajectory.points
     path = simulate_float(
-        board,
-        slopes,
-        (start.x, start.y),
+        board, slopes, (start.x, start.y),
         first_move_type=args.first_move or 1,
         steps=_capped(args.steps, MAX_FLOAT_STEPS, "--steps"),
     )
-    dists = None if limit_set is None else distances(path.points, limit_set)
+    dists = None if args.limit == "none" else distances(
+        path.points, [(p.x, p.y) for p in limit_points]
+    )
     # Past a repeated state the path repeats the same tuple objects, and
     # distances gives a tuple object one distance, so the text after the
     # step number is made once per object.  Float equality would merge
@@ -419,8 +407,7 @@ def _cmd_float_sim(args):
     return "\n".join(rows) + "\n"
 
 
-def _cmd_corner_trajectories(args):
-    config = _resolve_config(args)
+def _cmd_corner_trajectories(args, config):
     board, max_points = config.board, _trace_points(config, steps=128)
     _capped(2 * len(board.corners) * max_points, MAX_CORNER_POINTS,
             "2 * corners * (max_steps + 1)")
@@ -448,37 +435,30 @@ def _cmd_corner_trajectories(args):
     return chunks()
 
 
-def _cmd_rigid_cycles(args):
-    config = _resolve_config(args)
+def _cmd_rigid_cycles(args, config):
     cycles = enumerate_rigid_cycles(
         config.board, config.moves,
         _capped(args.max_len, MAX_CYCLE_LENGTH, "--max-len"),
     )
-    payload = {
+    return {
         "max_length": args.max_len,
         "count": len(cycles),
         "cycles": [
             {
                 "length": len(t.points),
                 "first_move_type": t.first_move_type,
-                "points": [
-                    _point_payload(p, args.decimal) for p in t.points
-                ],
-                "denominator": lcm(
-                    *(point_denominator(p) for p in t.points)
-                ),
+                "points": [_point_payload(p, args.decimal) for p in t.points],
+                "denominator": lcm(*map(point_denominator, t.points)),
             }
             for t in cycles
         ],
     }
-    return _json_text(payload)
 
 
-def _cmd_denominator(args):
-    config = _resolve_config(args)
+def _cmd_denominator(args, config):
     q = _capped(_require(config.q, "--q"), MAX_CYCLE_LENGTH, "q")
     report = denominator(config.board, config.moves, q)
-    payload = {
+    return {
         "q": q,
         "denominator": report.value,
         "contributions": [
@@ -490,7 +470,6 @@ def _cmd_denominator(args):
             for c in report.contributions
         ],
     }
-    return _json_text(payload)
 
 
 def _closed_form(moves, q):
@@ -506,22 +485,19 @@ def _closed_form(moves, q):
     raise ParseError(f"no closed form covers moves {moves[0]}, {moves[1]}")
 
 
-def _cmd_closed_form(args):
-    config = _resolve_config(args)
+def _cmd_closed_form(args, config):
     _square_only(config.board)
     q = _capped(_require(config.q, "--q"), MAX_CLOSED_FORM_Q, "q")
     family, params, value = _closed_form(config.moves, q)
-    payload = {
+    return {
         "family": family,
         "parameters": params,
         "q": q,
         "denominator": value,
     }
-    return _json_text(payload)
 
 
-def _cmd_count(args):
-    config = _resolve_config(args)
+def _cmd_count(args, config):
     _square_only(config.board)
     q, n_max = _counting_sizes(config)
     series = count_series(config.moves, q, n_max)
@@ -530,8 +506,7 @@ def _cmd_count(args):
     return "\n".join(rows) + "\n"
 
 
-def _cmd_period(args):
-    config = _resolve_config(args)
+def _cmd_period(args, config):
     _square_only(config.board)
     q, n_max = _counting_sizes(config)
     series = count_series(config.moves, q, n_max)
@@ -553,27 +528,24 @@ def _cmd_period(args):
             [str(c) for c in constituent]
             for constituent in fitted.constituents
         ]
-    return _json_text(payload)
+    return payload
 
 
-def _cmd_conjecture(args):
-    config = _resolve_config(args)
+def _cmd_conjecture(args, config):
     _square_only(config.board)
     _capped(_require(config.q, "--q"), MAX_CYCLE_LENGTH, "q")
     q, n_max = _counting_sizes(config)
     report = conjecture_report(config.moves, q, n_max)
-    payload = {
+    return {
         "q": report.q,
         "period": report.period,
         "denominator": report.denominator,
         "divides": True,
         "equal": report.equal,
     }
-    return _json_text(payload)
 
 
-def _cmd_render(args):
-    config = _resolve_config(args)
+def _cmd_render(args, config):
     q = 4 if config.q is None else config.q
     if q < 1:
         raise ParseError(f"q must be at least 1, got {q}")
@@ -600,8 +572,8 @@ def _cmd_render(args):
 # Parser wiring.
 
 
-# Each shared flag once, with its add_argument keywords.  argparse takes
-# a flag's dest from its name, so --n-max sets the ProblemConfig field
+# Each flag once, with its add_argument keywords.  argparse takes a
+# flag's dest from its name, so --n-max sets the ProblemConfig field
 # n_max.
 _FLAGS = {
     "--config": dict(help="JSON problem config file"),
@@ -619,6 +591,15 @@ _FLAGS = {
     "--first-move": dict(type=int, choices=(1, 2),
                          help="move type of the first step (default 1)"),
     "--max-steps": dict(type=int, help="step cap for traces"),
+    "--format": dict(choices=("text", "json", "svg"), default="text"),
+    "--slopes": dict(nargs=2, metavar=("s1", "s2"), required=True,
+                     help="two line slopes as rationals"),
+    "--steps": dict(type=int, default=1000),
+    "--limit": dict(choices=("none", "orbit", "corner"), default="none",
+                    help="reference set for the dist column"),
+    "--max-len": dict(type=int, default=8,
+                      help="largest cycle length searched"),
+    "--period": dict(type=int, help="test one period instead of searching"),
 }
 
 # The flags of every command that reads a problem, in help order.
@@ -634,54 +615,39 @@ def build_parser():
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, func, summary, *flags):
+    def command(name, func, summary, *flags, own={}):
+        """Add a subcommand with `flags`, each from _FLAGS unless `own`
+        gives its keywords.  A command that takes --moves is called
+        with the problem, read once from its config file and flags."""
         sub = commands.add_parser(name, help=summary)
         for flag in flags:
-            sub.add_argument(flag, **_FLAGS[flag])
-        sub.set_defaults(func=func)
-        return sub
+            sub.add_argument(flag, **own.get(flag, _FLAGS[flag]))
 
-    sub = command(
+        def run(args):
+            return func(args, _resolve_config(args))
+
+        sub.set_defaults(func=run if "--moves" in flags else func)
+
+    command(
         "simulate", _cmd_simulate, "exact boundary trace", *_PROBLEM,
-        "--decimal", "--start", "--first-move", "--max-steps",
+        "--decimal", "--start", "--first-move", "--max-steps", "--format",
     )
-    sub.add_argument(
-        "--format", choices=("text", "json", "svg"), default="text"
-    )
-
-    sub = command(
+    command(
         "float-sim", _cmd_float_sim, "floating-point bounce simulation",
-        "--board", "--first-move", "--out",
+        "--board", "--first-move", "--out", "--slopes", "--start",
+        "--steps", "--limit",
+        # not a problem's --start: required, and anywhere on the board
+        own={"--start": dict(required=True, help="start point x,y")},
     )
-    sub.add_argument(
-        "--slopes", nargs=2, metavar=("s1", "s2"), required=True,
-        help="two line slopes as rationals",
-    )
-    # not a problem's --start: required, and anywhere on the board
-    sub.add_argument("--start", required=True, help="start point x,y")
-    sub.add_argument("--steps", type=int, default=1000)
-    sub.add_argument(
-        "--limit",
-        choices=("none", "orbit", "corner"),
-        default="none",
-        help="reference set for the dist column",
-    )
-
     command(
         "corner-trajectories", _cmd_corner_trajectories,
         "trajectories through each corner (--max-steps 128 by default)",
         *_PROBLEM, "--decimal", "--max-steps",
     )
-
-    sub = command(
+    command(
         "rigid-cycles", _cmd_rigid_cycles, "enumerate rigid cycles",
-        *_PROBLEM, "--decimal",
+        *_PROBLEM, "--decimal", "--max-len",
     )
-    sub.add_argument(
-        "--max-len", type=int, default=8,
-        help="largest cycle length searched",
-    )
-
     command(
         "denominator", _cmd_denominator,
         "denominator of the q-piece system", *_PROBLEM, "--decimal", "--q",
@@ -694,12 +660,9 @@ def build_parser():
         "count", _cmd_count, "nonattacking placement counts", *_PROBLEM,
         "--q", "--n-max",
     )
-    sub = command(
+    command(
         "period", _cmd_period, "fit the counting quasipolynomial period",
-        *_PROBLEM, "--q", "--n-max",
-    )
-    sub.add_argument(
-        "--period", type=int, help="test one period instead of searching"
+        *_PROBLEM, "--q", "--n-max", "--period",
     )
     command(
         "conjecture", _cmd_conjecture,

@@ -1,8 +1,9 @@
 """Independent references that production code is checked against.
 
 `backtrack_count` enumerates every placement over per-cell attack
-bitmasks; `count_pairs_formula` is the closed q = 2 count.  Neither
-shares code with `riderflow.counting`.
+bitmasks; `count_pairs_formula` is the closed q = 2 count, and
+`inclusion_exclusion_count` counts q <= 3 from line lengths alone.
+None of them shares code with `riderflow.counting`.
 
 `newton_fit` fits a quasipolynomial by Newton interpolation over
 `Fraction` and checks every surplus sample against it, where
@@ -42,9 +43,10 @@ limit set for every point; `riderflow.floatsim` stops at the first
 repeated state and sweeps an x-sorted limit set.
 """
 
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
-from math import comb, gcd, hypot, inf, lcm
+from math import comb, factorial, gcd, hypot, inf, lcm
 
 from riderflow import (
     BoundaryLocation,
@@ -130,6 +132,69 @@ def count_pairs_formula(moves, n):
         for cells in _line_groups(move, n).values():
             total -= comb(len(cells), 2)
     return total
+
+
+def inclusion_exclusion_count(moves, q, n):
+    """Placements of q <= 3 riders by inclusion-exclusion over the events
+    "pieces i and j share a move-r line".
+
+    A set S of events asks the pieces that its move-r events join to
+    share one move-r line.  With N(S) the ordered q-tuples of cells that
+    do so, the sum of (-1)^|S| N(S) counts the tuples that meet no event;
+    their cells are distinct, for two pieces on one cell share both
+    lines.  Pieces that S puts on both lines of another share its cell
+    and merge.  The merged cells are edges between the lines that S
+    asks for, and they form a forest: a cycle would need four distinct
+    cells.  So N(S) is a product over trees of at most three cells: the
+    sum of |L|^k over the move-r lines L for k cells on one line (one
+    cell gives n^2), and for a path of three the sum over its middle
+    cell of the lengths of the cell's two lines.
+    """
+    if not 0 <= q <= 3:
+        raise ValueError(f"q must be 0 to 3, got {q}")
+    groups = [_line_groups(move, n).values() for move in moves]
+    powers = [
+        [sum(len(cells) ** k for cells in lines) for k in range(4)]
+        for lines in groups
+    ]
+    length = [[0] * (n * n) for _ in moves]
+    for lengths, lines in zip(length, groups):
+        for cells in lines:
+            for i in cells:
+                lengths[i] = len(cells)
+    path = sum(a * b for a, b in zip(*length))
+
+    def tuples_meeting(events):
+        # each piece's move-r line as a class label, per move
+        labels = [list(range(q)), list(range(q))]
+        for i, j, r in events:
+            old, new = labels[r][j], labels[r][i]
+            labels[r] = [new if x == old else x for x in labels[r]]
+        trees = []
+        for cell in set(zip(*labels)):
+            touching = [
+                t for t in trees
+                if any(c[0] == cell[0] or c[1] == cell[1] for c in t)
+            ]
+            trees = [t for t in trees if t not in touching]
+            trees.append([cell, *(c for t in touching for c in t)])
+        total = 1
+        for tree in trees:
+            lines = Counter((r, c[r]) for c in tree for r in (0, 1))
+            (r, _), degree = lines.most_common(1)[0]
+            total *= powers[r][degree] if degree == len(tree) else path
+        return total
+
+    events = [(i, j, r) for i, j in combinations(range(q), 2) for r in (0, 1)]
+    ordered = sum(
+        (-1) ** size * tuples_meeting(chosen)
+        for size in range(len(events) + 1)
+        for chosen in combinations(events, size)
+    )
+    placements, rest = divmod(ordered, factorial(q))
+    if rest:
+        raise AssertionError(f"{ordered} is not divisible by {q}!")
+    return placements
 
 
 def _newton_poly(xs, ys):

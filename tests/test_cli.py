@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from dataclasses import replace
@@ -111,6 +112,38 @@ MOVES_FIELD = '"moves": [[2, 1], [1, 2]]'
 def test_parse_config_rejects_garbage(text):
     with pytest.raises(ParseError):
         parse_config(text)
+
+
+# JSON numbers reach parse_rational as typed: through a float the first
+# start was read as 1/10 and the second as the corner 0,0
+@pytest.mark.parametrize("typed, exact", [
+    ("0.10000000000000000001",
+     "10000000000000000001/100000000000000000000"),
+    ("1e-400", "1/1" + "0" * 400),
+], ids=["digits", "exponent"])
+def test_config_start_is_read_as_typed(capsys, tmp_path, typed, exact):
+    cfg_file = tmp_path / "problem.json"
+    cfg_file.write_text(
+        '{%s, "start": [%s, 0], "max_steps": 0}' % (MOVES_FIELD, typed)
+    )
+    code, out, _ = run_cli(capsys, "simulate", "--config", str(cfg_file))
+    assert code == 0
+    assert out.splitlines()[-1] == f"{exact},0"
+
+
+def test_board_corner_is_read_as_typed(capsys, tmp_path):
+    # through a float the corner was 3333333333333333/10000000000000000
+    board_file = tmp_path / "board.json"
+    board_file.write_text(
+        '{"corners": [[0, 0], [1, 0.33333333333333333333333], [0, 1]]}'
+    )
+    code, out, _ = run_cli(
+        capsys, "corner-trajectories", "--moves", "2,1", "1,2",
+        "--board", str(board_file), "--max-steps", "0",
+    )
+    assert code == 0
+    corners = [t["corner"] for t in json.loads(out)["trajectories"]]
+    assert ["1", "33333333333333333333333/100000000000000000000000"] in corners
 
 
 @pytest.mark.parametrize("route", ["--config", "--board"])
@@ -338,6 +371,95 @@ def test_every_subcommand_keeps_its_options():
     } == OPTIONS
 
 
+# Every action of every subcommand as argparse holds it: (option strings,
+# dest, default, type name, choices, nargs, required, metavar, help).
+def _action(options, dest, default=None, type=None, choices=None,
+            nargs=None, required=False, metavar=None, help=None):
+    return (options, dest, default, type, choices, nargs, required,
+            metavar, help)
+
+
+HELP = _action(["-h", "--help"], "help", "==SUPPRESS==", nargs=0,
+               help="show this help message and exit")
+CONFIG = _action(["--config"], "config", help="JSON problem config file")
+MOVES = _action(["--moves"], "moves", nargs=2, metavar=("c1,d1", "c2,d2"),
+                help="the two move vectors")
+BOARD = _action(["--board"], "board", help=(
+    '"square" (default) or a JSON file with a corner list'))
+OUT = _action(["--out"], "out", help="output file (default: stdout)")
+DECIMAL = _action(["--decimal"], "decimal", False, nargs=0, help=(
+    "add approximate decimal coordinates to JSON output"))
+Q = _action(["--q"], "q", type="int", help="number of pieces")
+N_MAX = _action(["--n-max"], "n_max", type="int", help="largest board size")
+FIRST_MOVE = _action(["--first-move"], "first_move", type="int",
+                     choices=(1, 2),
+                     help="move type of the first step (default 1)")
+MAX_STEPS = _action(["--max-steps"], "max_steps", type="int",
+                    help="step cap for traces")
+PROBLEM = [HELP, CONFIG, MOVES, BOARD, OUT]
+
+PARSER_RECORD = {
+    "simulate": ("exact boundary trace", [
+        *PROBLEM, DECIMAL,
+        _action(["--start"], "start", help="boundary start point x,y"),
+        FIRST_MOVE, MAX_STEPS,
+        _action(["--format"], "format", "text",
+                choices=("text", "json", "svg")),
+    ]),
+    "float-sim": ("floating-point bounce simulation", [
+        HELP, BOARD, FIRST_MOVE, OUT,
+        _action(["--slopes"], "slopes", nargs=2, required=True,
+                metavar=("s1", "s2"), help="two line slopes as rationals"),
+        _action(["--start"], "start", required=True,
+                help="start point x,y"),
+        _action(["--steps"], "steps", 1000, type="int"),
+        _action(["--limit"], "limit", "none",
+                choices=("none", "orbit", "corner"),
+                help="reference set for the dist column"),
+    ]),
+    "corner-trajectories": (
+        "trajectories through each corner (--max-steps 128 by default)",
+        [*PROBLEM, DECIMAL, MAX_STEPS],
+    ),
+    "rigid-cycles": ("enumerate rigid cycles", [
+        *PROBLEM, DECIMAL,
+        _action(["--max-len"], "max_len", 8, type="int",
+                help="largest cycle length searched"),
+    ]),
+    "denominator": ("denominator of the q-piece system",
+                    [*PROBLEM, DECIMAL, Q]),
+    "closed-form": ("family closed form for the denominator",
+                    [*PROBLEM, Q]),
+    "count": ("nonattacking placement counts", [*PROBLEM, Q, N_MAX]),
+    "period": ("fit the counting quasipolynomial period", [
+        *PROBLEM, Q, N_MAX,
+        _action(["--period"], "period", type="int",
+                help="test one period instead of searching"),
+    ]),
+    "conjecture": ("compare fitted period against denominator",
+                   [*PROBLEM, Q, N_MAX]),
+    "render": ("SVG picture of the system", [*PROBLEM, Q]),
+}
+
+
+def test_every_subcommand_keeps_its_parser():
+    (commands,) = [
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    summaries = {a.dest: a.help for a in commands._choices_actions}
+    assert {
+        name: (summaries[name], [
+            _action(a.option_strings, a.dest, a.default,
+                    a.type and a.type.__name__, a.choices, a.nargs,
+                    a.required, a.metavar, a.help)
+            for a in sub._actions
+        ])
+        for name, sub in commands.choices.items()
+    } == PARSER_RECORD
+    assert list(commands.choices) == list(PARSER_RECORD)
+
+
 def test_period_explicit_rejected(capsys):
     code, out, _ = run_cli(
         capsys, "period", "--moves", "1,1", "1,-1", "--q", "3",
@@ -546,6 +668,8 @@ BAD_INPUTS = [
     ("[1]", ["denominator", "--q", "2"], "config must be a JSON object"),
     ('{%s, "first_move": 3}' % MOVES_FIELD, ["denominator", "--q", "2"],
      "first_move must be 1 or 2"),
+    ('{%s, "q": 2.7}' % MOVES_FIELD, ["denominator"],
+     "q must be an integer"),
     (None, ["float-sim", "--slopes", "1/2", "1/2", "--start", "0,0"],
      "slopes must differ"),
 ]
@@ -1093,3 +1217,82 @@ def test_module_entry_point_prints_what_main_prints(capsys):
     assert (done.returncode, done.stdout) == (0, out), done.stderr
     help_run = _run_module("--help")
     assert help_run.returncode == 0 and help_run.stdout.startswith("usage:")
+
+
+def test_module_prints_a_long_orbit_byte_for_byte():
+    # the bytes recorded before the trace's gcds were bounded by the
+    # board's edge integers
+    done = _run_module(
+        "simulate", "--moves", "2,1", "1,2", "--start", "1/3,0",
+        "--max-steps", "2000",
+    )
+    assert done.returncode == 0, done.stderr
+    assert hashlib.sha256(done.stdout.encode()).hexdigest() == (
+        "9c7e4ec7fefe8147b2af275de71813ccfd4f1a14946ad62998af24a0fd80b9c4"
+    )
+
+
+def test_module_writes_to_out_what_it_prints(tmp_path):
+    argv = ["corner-trajectories", "--moves", "2,1", "1,2",
+            "--max-steps", "24"]
+    printed = _run_module(*argv)
+    written = _run_module(*argv, "--out", str(tmp_path / "written.json"))
+    assert printed.returncode == 0 and printed.stdout
+    assert (written.returncode, written.stdout) == (0, "")
+    assert (tmp_path / "written.json").read_bytes() == printed.stdout.encode()
+
+
+def test_module_counts_on_the_square_listed_from_another_corner(
+    capsys, tmp_path
+):
+    argv = ["count", "--moves", "1,1", "1,-1", "--q", "2", "--n-max", "3"]
+    board_file = tmp_path / "rotated.json"
+    board_file.write_text(json.dumps(
+        {"corners": [["1", "0"], ["1", "1"], ["0", "1"], ["0", "0"]]}
+    ))
+    done = _run_module(*argv, "--board", str(board_file))
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert (done.returncode, done.stdout) == (0, out), done.stderr
+
+
+def test_module_refuses_a_flag_the_command_lacks():
+    # the fit degree is always 2q: period has no --degree flag
+    done = _run_module(
+        "period", "--moves", "1,1", "1,-1", "--q", "2", "--n-max", "16",
+        "--degree", "4",
+    )
+    assert (done.returncode, done.stdout) == (2, "")
+    assert "unrecognized arguments: --degree 4" in done.stderr
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_block(heading, language):
+    """The first fenced `language` block in README's section `heading`."""
+    section = README.read_text().split(f"\n## {heading}\n", 1)[1]
+    return section.split(f"```{language}\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_quick_tour_runs(capsys, tmp_path):
+    commands = [
+        shlex.split(line)[1:]
+        for line in _readme_block("Quick tour", "sh").splitlines()
+        if line.startswith("riderflow ")
+    ]
+    assert len(commands) == 9
+    for argv in commands:
+        if "--out" in argv:
+            at = argv.index("--out") + 1
+            argv[at] = str(tmp_path / argv[at])
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        if "--out" in argv:
+            out = Path(argv[at]).read_text()
+        assert out, argv
+
+
+def test_readme_library_example_prints_its_values(capsys):
+    exec(_readme_block("Library use", "python"), {})
+    assert capsys.readouterr().out == "120\ncyclic 4\n"

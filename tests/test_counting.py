@@ -30,6 +30,7 @@ from oracles import (
     backtrack_count,
     count_pairs_formula,
     evaluate_fit,
+    inclusion_exclusion_count,
     newton_fit,
 )
 
@@ -117,6 +118,16 @@ def test_a_quarter_turn_keeps_triple_counts_at_large_n(n):
     moves = (canonical_move(3, 2), canonical_move(4, -3))
     turned = (canonical_move(2, -3), canonical_move(3, 4))
     assert count(moves, 3, n) == count(turned, 3, n)
+
+
+@pytest.mark.parametrize("n", LARGE_N)
+def test_counts_match_inclusion_exclusion_at_large_n(n):
+    # (3,2)/(4,-3) has the largest q = 3 denominator, 1,224, of the pairs
+    # with |c|, |d| <= 4
+    cases = [(moves, q) for moves in NAMED_PAIRS.values() for q in (2, 3)]
+    cases.append(((canonical_move(3, 2), canonical_move(4, -3)), 3))
+    for moves, q in cases:
+        assert count(moves, q, n) == inclusion_exclusion_count(moves, q, n)
 
 
 def test_rook_counts_match_the_closed_form():
