@@ -131,15 +131,18 @@ def _canonical_pair(raw_moves):
 
 
 def _int(value, name):
-    """A JSON integer, or a string of one (as --moves gives)."""
-    if isinstance(value, str):
-        try:
-            return int(value)
-        except ValueError:
-            pass
-    elif isinstance(value, int) and not isinstance(value, bool):
+    """A JSON integer."""
+    if isinstance(value, int) and not isinstance(value, bool):
         return value
     raise ParseError(f"{name} must be an integer, got {value!r}")
+
+
+def _flag_int(text):
+    """A flag's integer text as an int; other text is for `_int` to refuse."""
+    try:
+        return int(text)
+    except ValueError:
+        return text
 
 
 def _pair(value, name):
@@ -253,7 +256,10 @@ def _board_value(text):
     """The --board value as a config field: "square" or a file's JSON."""
     if text == "square":
         return text
-    return json.loads(Path(text).read_text(), parse_float=str)
+    try:
+        return json.loads(Path(text).read_text(), parse_float=str)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"bad JSON in board file {text}: {exc}") from exc
 
 
 def _resolve_config(args):
@@ -266,7 +272,8 @@ def _resolve_config(args):
         if name == "board":
             value = _board_value(value)
         elif name == "moves":
-            value = [text.split(",") for text in value]
+            value = [[_flag_int(v) for v in text.split(",")]
+                     for text in value]
         data[name] = value
     return _problem(data)
 

@@ -8,9 +8,18 @@ an edge or just touches a corner — the antipode is the point itself and
 the particle stops.
 
 Steps run on homogeneous integer coordinates: a point is a gcd-reduced
-triple (x, y, w) meaning (x/w, y/w), located and clipped against the
-board's integer edge rows with integer cross-multiplication.  Points
-leave this module as `Point2`s with `Fraction` coordinates.
+triple (x, y, w) meaning (x/w, y/w), clipped against the board's integer
+edge rows with integer cross-multiplication.  `Board._locate` runs once
+per walk, on its start.  A step takes the point's edge rows, one on an
+edge and two at a corner, and returns the landing's with the landing:
+the falling row that the move line reaches first, or the two that tie
+there and meet at a corner.  Heights are computed only over the rows
+whose height falls along the move, told apart by the signs of the
+move's rates over the rows (`_alongs`, once per walk).  Over any other
+row the landing's height is at least the start's, which is ≥ 0, and it
+is 0 only if the move runs along an edge of the start, where the step
+stops before any height is computed.  Points leave this module as
+`Point2`s with `Fraction` coordinates.
 
 Coordinates grow to thousands of bits, but two divisibility facts bound
 every gcd a step needs by small integers of the board's edge rows.
@@ -45,6 +54,7 @@ from .geometry import (
     InternalInvariantError,
     LocationKind,
     _as_point,
+    _boundary_edges,
     _from_homogeneous,
     _homogeneous,
     _point_on_row,
@@ -100,19 +110,10 @@ class Trajectory:
 
     def segments(self):
         """(start, end, move_type) triples, cyclic windows included."""
-        out = [
-            (self.points[i], self.points[i + 1], self.move_type_at(i))
-            for i in range(len(self.points) - 1)
-        ]
-        if self.status is TrajectoryStatus.CYCLIC:
-            out.append(
-                (
-                    self.points[-1],
-                    self.points[0],
-                    self.move_type_at(len(self.points) - 1),
-                )
-            )
-        return out
+        points, n = self.points, len(self.points)
+        cyclic = self.status is TrajectoryStatus.CYCLIC
+        return [(points[i], points[(i + 1) % n], self.move_type_at(i))
+                for i in range(n if cyclic else n - 1)]
 
     def __len__(self):
         return len(self.points)
@@ -123,51 +124,59 @@ def _alongs(board, move):
     return [a * move.c + b * move.d for a, b, _ in board.rows]
 
 
-def _step(board, move, alongs, x, y, w):
-    """The antipode of the boundary point (x/w, y/w), a reduced triple,
-    as (triple, row) with row the board row it lands on.
+def _edges_of(board, triple):
+    """The edge rows of a point as `_step` takes them, [i] on edge i and
+    [i - 1, i] at corner i, from one `_locate`; NotOnBoundary off it."""
+    loc = board._locate(*triple)[0]
+    if loc.index is None:
+        where = ("outside the board" if loc.kind is LocationKind.OUTSIDE
+                 else "interior, not on the boundary")
+        raise NotOnBoundary(f"{_from_homogeneous(*triple)} is {where}")
+    i = loc.index
+    return [i] if loc.kind is LocationKind.EDGE else [i - 1, i]
 
-    Returns None when the particle stops there.  alongs is
-    _alongs(board, move), computed once per walk.  The point's heights
-    over the board rows come from one pass; along the line
-    point + t * move, height i changes at the rate alongs[i] / w, so
-    the line leaves the board at the edge with the least height per
-    unit of approach, found by integer cross-multiplication.  The
-    landing's gcd divides exit_along * entering[0] (see the module
-    docstring), so the gcd starts from that small product.
+
+def _step(board, move, alongs, triple, edges):
+    """The antipode of the boundary point triple = (x, y, w), reduced,
+    on the edge rows `edges`, as (triple, row, edges) of the landing,
+    with row one of its edge rows; None when the particle stops there.
+    alongs is _alongs(board, move), computed once per walk.
     """
 
-    loc, heights = board._locate(x, y, w)
-    if loc.kind is LocationKind.OUTSIDE:
-        raise NotOnBoundary(f"{_from_homogeneous(x, y, w)} is outside the board")
-    if loc.kind is LocationKind.INTERIOR:
-        raise NotOnBoundary(
-            f"{_from_homogeneous(x, y, w)} is interior, not on the boundary"
-        )
-    if loc.kind is LocationKind.EDGE:
-        entering = (alongs[loc.index],)
-    else:  # a corner, where edges index - 1 and index meet
-        entering = (alongs[loc.index - 1], alongs[loc.index])
-    if 0 in entering:
-        return None  # the move line lies along an edge
-    if min(entering) < 0 < max(entering):
-        return None  # the line touches the board only at this corner
-    # The line crosses the interior with t of the sign of `entering`;
-    # it exits where a falling height first reaches zero.
-    sign = 1 if entering[0] > 0 else -1
-    exit_h = exit_rate = exit_along = exit_row = None
-    for h, along, row in zip(heights, alongs, board.rows):
-        rate = -along * sign
-        if rate > 0 and (exit_h is None or h * exit_rate < exit_h * rate):
-            exit_h, exit_rate, exit_along, exit_row = h, rate, along, row
+    entering = alongs[edges[0]]
+    for i in edges:
+        # a zero rate: the move line lies along an edge; rates of both
+        # signs: the line touches the board only at this corner
+        if alongs[i] * entering <= 0:
+            return None
+    # The line crosses the interior with t of the sign of `entering`.
+    # Height i changes at the rate alongs[i] / w along point + t * move,
+    # so it falls where rate = -alongs[i] * entering > 0, and the line
+    # leaves at the falling row of least h / rate, by cross-multiplying
+    # from 1 / 0, beyond every row; rows that tie meet at a corner.
+    x, y, w = triple
+    rows = board.rows
+    exit_h, exit_rate, ties = 1, 0, []
+    for i, along in enumerate(alongs):
+        rate = -along * entering
+        if rate > 0:
+            a, b, c = rows[i]
+            h = a * x + b * y - c * w
+            lhs, rhs = h * exit_rate, exit_h * rate
+            if lhs < rhs:
+                exit_h, exit_rate, ties = h, rate, [i]
+            elif lhs == rhs:
+                ties.append(i)
+    exit_along = alongs[ties[0]]
     # t = -h / (w * along) at the exit edge
     nx = x * exit_along - exit_h * move.c
     ny = y * exit_along - exit_h * move.d
     nw = w * exit_along
-    g = gcd(exit_along * entering[0], nx, ny, nw)
+    g = gcd(exit_along * entering, nx, ny, nw)  # see the module docstring
     if nw < 0:
         g = -g
-    return (nx // g, ny // g, nw // g), exit_row
+    landing = (nx // g, ny // g, nw // g)
+    return landing, rows[ties[0]], _boundary_edges(ties, len(rows), landing)
 
 
 def antipode(board, move, point):
@@ -179,8 +188,10 @@ def antipode(board, move, point):
     """
 
     point = _as_point(point)
-    landing = _step(board, move, _alongs(board, move), *_homogeneous(point))
-    return point if landing is None else _point_on_row(*landing)
+    triple = _homogeneous(point)
+    landing = _step(board, move, _alongs(board, move), triple,
+                    _edges_of(board, triple))
+    return point if landing is None else _point_on_row(*landing[:2])
 
 
 def trace(board, moves, start, first_move_type, max_points=10_000):
@@ -199,18 +210,17 @@ def trace(board, moves, start, first_move_type, max_points=10_000):
     start = _as_point(start)
     origin = _homogeneous(start)
     rated = [(move, _alongs(board, move)) for move in moves]
+    current = start_at = (origin, _edges_of(board, origin))
     landings = []  # (triple, row) after the start
     seen = {origin}
-    current = origin
     move_type = first_move_type
-    forward_stopped = False
-    cyclic = False
+    forward_stopped = cyclic = False
     while True:
         landing = _step(board, *rated[move_type - 1], *current)
         if landing is None:
             forward_stopped = True
             break
-        triple = landing[0]
+        triple, row, edges = landing
         next_type = other(move_type)
         if triple == origin and next_type == first_move_type:
             cyclic = True
@@ -222,18 +232,17 @@ def trace(board, moves, start, first_move_type, max_points=10_000):
             )
         if len(landings) + 1 == max_points:
             break
-        landings.append(landing)
+        landings.append((triple, row))
         seen.add(triple)
-        current = triple
+        current = (triple, edges)
         move_type = next_type
-    points = [start]
-    points.extend(_point_on_row(*landing) for landing in landings)
+    points = [start, *(_point_on_row(*landing) for landing in landings)]
 
     if cyclic:
         status = TrajectoryStatus.CYCLIC
     else:
         backward = rated[other(first_move_type) - 1]
-        backward_open = _step(board, *backward, *origin) is not None
+        backward_open = _step(board, *backward, *start_at) is not None
         status = _END_STATUS[(backward_open, not forward_stopped)]
     return Trajectory(tuple(points), first_move_type, status)
 
@@ -300,8 +309,9 @@ def partition_into_trajectories(board, moves, points):
     # link[h, r]: the point of the set that h reaches under move type r
     link = {}
     for h in order:
+        edges = _edges_of(board, h)
         for r in (1, 2):
-            landing = _step(board, *rated[r - 1], *h)
+            landing = _step(board, *rated[r - 1], h, edges)
             if landing is not None and landing[0] in pool:
                 link[h, r] = landing[0]
     done = set()

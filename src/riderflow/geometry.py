@@ -315,24 +315,26 @@ class Board:
         of the point over rows[i], computed in one pass.
         """
         heights = [a * x + b * y - c * w for a, b, c in self.rows]
-        zero = []
-        for i, h in enumerate(heights):
-            if h < 0:
-                return _OUTSIDE, heights
-            if h == 0:
-                zero.append(i)
+        if min(heights) < 0:
+            return _OUTSIDE, heights
+        zero = [i for i, h in enumerate(heights) if h == 0]
         if not zero:
             return _INTERIOR, heights
-        if len(zero) == 1:
-            return BoundaryLocation(LocationKind.EDGE, zero[0]), heights
-        if len(zero) == 2:
-            i, j = zero
-            # adjacent edge lines meet at the shared corner
-            if j == i + 1:
-                return BoundaryLocation(LocationKind.CORNER, j), heights
-            if i == 0 and j == len(heights) - 1:
-                return BoundaryLocation(LocationKind.CORNER, 0), heights
-        raise InternalInvariantError(
-            f"point {_from_homogeneous(x, y, w)} lies on {len(zero)} edge "
-            "lines of a strictly convex board"
-        )
+        edges = _boundary_edges(zero, len(heights), (x, y, w))
+        kind = LocationKind.EDGE if len(edges) == 1 else LocationKind.CORNER
+        return BoundaryLocation(kind, edges[-1]), heights
+
+
+def _boundary_edges(zero, n, triple):
+    """The edge rows of the point triple on a board of n rows, from the
+    ascending indices `zero` of the rows it lies on: [i] on edge i,
+    [i - 1, i] at corner i > 0 and [n - 1, 0] at corner 0."""
+    # an edge, or two adjacent edge lines meeting at their shared corner
+    if len(zero) == 1 or len(zero) == 2 and zero[1] == zero[0] + 1:
+        return zero
+    if zero == [0, n - 1]:
+        return [n - 1, 0]
+    raise InternalInvariantError(
+        f"point {_from_homogeneous(*triple)} lies on {len(zero)} edge "
+        "lines of a strictly convex board"
+    )

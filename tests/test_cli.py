@@ -160,6 +160,23 @@ def test_malformed_config_or_board_file_exits_2(capsys, tmp_path, route):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+def test_board_file_that_is_not_json_names_it(capsys, tmp_path):
+    bad = tmp_path / "board.json"
+    bad.write_text('{"corners": [[0, 0] [1, 0], [0, 1]]}')
+    code, out, err = run_cli(capsys, "denominator", "--moves", "2,1", "1,2",
+                             "--q", "2", "--board", str(bad))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: bad JSON in board file {bad}: ")
+
+
+def test_missing_board_file_exits_2(capsys, tmp_path):
+    missing = tmp_path / "missing.json"
+    code, out, err = run_cli(capsys, "denominator", "--moves", "2,1", "1,2",
+                             "--q", "2", "--board", str(missing))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and str(missing) in err
+
+
 def test_config_round_trip():
     texts = [
         '{"moves": [[2,1],[1,-2]], "q": 4, "start": ["1/3","0"]}',
@@ -670,6 +687,11 @@ BAD_INPUTS = [
      "first_move must be 1 or 2"),
     ('{%s, "q": 2.7}' % MOVES_FIELD, ["denominator"],
      "q must be an integer"),
+    # a config integer is a JSON integer, not a string of one
+    ('{%s, "q": "3"}' % MOVES_FIELD, ["denominator"],
+     "q must be an integer, got '3'"),
+    ('{"moves": [["2", "1"], [1, 2]], "q": 2}', ["denominator"],
+     "a move component must be an integer, got '2'"),
     (None, ["float-sim", "--slopes", "1/2", "1/2", "--start", "0,0"],
      "slopes must differ"),
 ]

@@ -1,4 +1,5 @@
 import hashlib
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -70,6 +71,32 @@ def test_antipode_rejects_off_boundary(square):
         antipode(square, INCLINED[0], Point2(2, 2))
     with pytest.raises(NotOnBoundary):
         antipode(square, INCLINED[0], Point2(F(1, 2), F(1, 2)))
+
+
+@pytest.mark.parametrize("point, where", [
+    (Point2(2, 2), "outside the board"),
+    (Point2(F(1, 2), F(1, 2)), "interior, not on the boundary"),
+])
+def test_every_walk_rejects_a_start_off_the_boundary(square, point, where):
+    message = re.escape(f"{point} is {where}")
+    with pytest.raises(NotOnBoundary, match=message):
+        trace(square, INCLINED, point, 1)
+    with pytest.raises(NotOnBoundary, match=message):
+        partition_into_trajectories(square, INCLINED, [Point2(0, 0), point])
+
+
+@pytest.mark.parametrize("copies", [1, 2])
+def test_a_landing_on_edge_lines_that_no_corner_joins_raises(square, copies):
+    # the square's rows with the right edge's row repeated at the end:
+    # the landing (1, 1/2) lies on row 1 and on each copy, rows that no
+    # strictly convex board has meeting at a boundary point
+    board = Board(square.corners, square.edges + (square.edges[1],) * copies)
+    horizontal = canonical_move(1, 0)
+    message = f"lies on {copies + 1} edge lines of a strictly convex board"
+    with pytest.raises(InternalInvariantError, match=message):
+        antipode(board, horizontal, Point2(0, F(1, 2)))
+    with pytest.raises(InternalInvariantError, match=message):
+        trace(board, (horizontal, VERTICAL), Point2(0, F(1, 2)), 1)
 
 
 @given(st.data())
@@ -307,6 +334,11 @@ def _hexagon():
     return Board.from_corners([(0, 0), (3, 0), (4, 2), (3, 4), (0, 4), (-1, 2)])
 
 
+def _named_board(request, name):
+    """The test hexagon, or the conftest fixture of that name."""
+    return _hexagon() if name == "hexagon" else request.getfixturevalue(name)
+
+
 # 300-point windows whose coordinates reach 100-260 bits: corner starts
 # (two entering edges) and edge starts, cut by the budget or stopped
 # behind the start.
@@ -326,8 +358,7 @@ REAL_SIZE_ORBITS = [
 def test_trace_matches_the_stepped_oracle_at_300_points(
     request, board_name, moves, start, first
 ):
-    board = (request.getfixturevalue("pentagon") if board_name == "pentagon"
-             else _hexagon())
+    board = _named_board(request, board_name)
     # an int picks a corner, a Fraction a point of the bottom edge
     if type(start) is int:
         start, kind = board.corners[start], LocationKind.CORNER
@@ -341,6 +372,59 @@ def test_trace_matches_the_stepped_oracle_at_300_points(
         for v in (p.x, p.y):
             assert type(v) is Fraction
             assert v.denominator > 0 and gcd(v.numerator, v.denominator) == 1
+
+
+@pytest.mark.parametrize("board_name, moves, start, first", REAL_SIZE_ORBITS)
+def test_trace_locates_only_its_start(
+    monkeypatch, request, board_name, moves, start, first
+):
+    board = _named_board(request, board_name)
+    start = board.corners[start] if type(start) is int else Point2(start, 0)
+    calls = []
+    locate = Board._locate
+
+    def counted(self, *triple):
+        calls.append(triple)
+        return locate(self, *triple)
+
+    monkeypatch.setattr(Board, "_locate", counted)
+    for max_points in (3, 300):
+        calls.clear()
+        assert len(trace(board, moves, start, first, max_points)) == max_points
+        # each step carries its edge rows to the next: one _locate, at
+        # the start, whatever the window's length
+        assert len(calls) == 1
+
+
+# Windows that land on a corner past their start, where two exit rows
+# tie: (board, moves, start, first type, corners landed on, and whether
+# the window steps on from the first of them).
+CORNER_LANDINGS = [
+    ("square", INCLINED, Point2(0, F(1, 2)), 1, [Point2(1, 1)], True),
+    # corner 0, where edges n - 1 and 0 meet
+    ("square", INCLINED, Point2(1, F(1, 2)), 1, [Point2(0, 0)], True),
+    ("square", BISHOP, Point2(0, 0), 1, [Point2(1, 1)], False),
+    ("pentagon", (VERTICAL, canonical_move(1, -2)), Point2(F(1, 2), 0), 1,
+     [Point2(F(1, 2), 2)], True),
+    # a corner straight after a corner, where the window stops
+    ("hexagon", (VERTICAL, canonical_move(1, -2)), Point2(1, 0), 1,
+     [Point2(3, 0), Point2(3, 4)], True),
+]
+
+
+@pytest.mark.parametrize("board_name, moves, start, first, corners, on",
+                         CORNER_LANDINGS)
+def test_trace_through_a_corner_landing(request, board_name, moves, start,
+                                        first, corners, on):
+    board = _named_board(request, board_name)
+    t = trace(board, moves, start, first, max_points=30)
+    assert t == oracles.stepped_trace(board, moves, start, first, 30)
+    landed = [p for p in t.points[1:]
+              if board.classify(p).kind is LocationKind.CORNER]
+    assert landed == corners
+    assert (t.points[-1] != corners[0]) is on
+    if not on:
+        assert t.status is TrajectoryStatus.STOPPED_BOTH_ENDS
 
 
 # sha256 of format_trajectory for 2,000-point orbits whose coordinates
