@@ -122,14 +122,11 @@ def arrangement_of(board, moves, pieces):
         if (zi.x - zj.x) * move.d == (zi.y - zj.y) * move.c
     ]
     for i, z in enumerate(pieces):
-        loc, heights = board._locate(*_homogeneous(z))
-        if loc.kind is LocationKind.OUTSIDE:
+        edges = board._locate(*_homogeneous(z))
+        if edges is None:
             raise OutsideBoard(f"piece at {z} is off the board")
-        normals += [
-            _fixation_normal(dim, i, row)
-            for row, h in zip(board.rows, heights)
-            if h == 0
-        ]
+        normals += [_fixation_normal(dim, i, board.rows[e])
+                    for e in sorted(edges)]
     return normals
 
 

@@ -171,11 +171,16 @@ def _board_from_value(value):
     )
 
 
-def _json_object(text):
+def _json(text, where=""):
+    """JSON text, decimals kept as text; nesting too deep is bad JSON."""
     try:
-        data = json.loads(text, parse_float=str)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"bad JSON: {exc}") from exc
+        return json.loads(text, parse_float=str)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise ParseError(f"bad JSON{where}: {exc}") from exc
+
+
+def _json_object(text):
+    data = _json(text)
     if not isinstance(data, dict):
         raise ParseError("config must be a JSON object")
     return data
@@ -256,10 +261,7 @@ def _board_value(text):
     """The --board value as a config field: "square" or a file's JSON."""
     if text == "square":
         return text
-    try:
-        return json.loads(Path(text).read_text(), parse_float=str)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"bad JSON in board file {text}: {exc}") from exc
+    return _json(Path(text).read_text(), f" in board file {text}")
 
 
 def _resolve_config(args):

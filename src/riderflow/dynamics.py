@@ -10,8 +10,9 @@ the particle stops.
 Steps run on homogeneous integer coordinates: a point is a gcd-reduced
 triple (x, y, w) meaning (x/w, y/w), clipped against the board's integer
 edge rows with integer cross-multiplication.  `Board._locate` runs once
-per walk, on its start.  A step takes the point's edge rows, one on an
-edge and two at a corner, and returns the landing's with the landing:
+per walk, on its start; the partition walks each component once, from
+its smallest point.  A step takes the point's edge rows, one on an edge
+and two at a corner, and returns the landing's with the landing:
 the falling row that the move line reaches first, or the two that tie
 there and meet at a corner.  Heights are computed only over the rows
 whose height falls along the move, told apart by the signs of the
@@ -52,7 +53,6 @@ from math import gcd
 
 from .geometry import (
     InternalInvariantError,
-    LocationKind,
     _as_point,
     _boundary_edges,
     _from_homogeneous,
@@ -125,15 +125,14 @@ def _alongs(board, move):
 
 
 def _edges_of(board, triple):
-    """The edge rows of a point as `_step` takes them, [i] on edge i and
-    [i - 1, i] at corner i, from one `_locate`; NotOnBoundary off it."""
-    loc = board._locate(*triple)[0]
-    if loc.index is None:
-        where = ("outside the board" if loc.kind is LocationKind.OUTSIDE
+    """A boundary point's edge rows, from one `_locate`; NotOnBoundary
+    off the boundary."""
+    edges = board._locate(*triple)
+    if not edges:
+        where = ("outside the board" if edges is None
                  else "interior, not on the boundary")
         raise NotOnBoundary(f"{_from_homogeneous(*triple)} is {where}")
-    i = loc.index
-    return [i] if loc.kind is LocationKind.EDGE else [i - 1, i]
+    return edges
 
 
 def _step(board, move, alongs, triple, edges):
@@ -304,36 +303,43 @@ def partition_into_trajectories(board, moves, points):
     """
 
     pool = {_homogeneous(p): p for p in map(_as_point, points)}
-    order = sorted(pool, key=pool.get)
     rated = [(move, _alongs(board, move)) for move in moves]
-    # link[h, r]: the point of the set that h reaches under move type r
-    link = {}
-    for h in order:
-        edges = _edges_of(board, h)
-        for r in (1, 2):
-            landing = _step(board, *rated[r - 1], h, edges)
-            if landing is not None and landing[0] in pool:
-                link[h, r] = landing[0]
     done = set()
     out = []
-    for h in order:
+    for h in sorted(pool, key=pool.get):
         if h in done:
             continue
         # h is the smallest point of its component
-        component, stack, ends = {h}, [h], []
-        while stack:
-            p = stack.pop()
-            for r in (1, 2):
-                linked = link.get((p, r))
-                if linked is None:  # a path end, left by the other type
-                    ends.append((pool[p], other(r)))
-                elif linked not in component:
-                    component.add(linked)
-                    stack.append(linked)
-        first, first_type = min(ends, default=(pool[h], 1))
-        out.append(trace(board, moves, first, first_type,
-                         max_points=len(component)))
-        done |= component
+        start = (h, _edges_of(board, h))
+        runs = []  # (end, its leaving type back along the run, open, run)
+        for first in (1, 2):
+            run, current, move_type = [h], start, first
+            while True:
+                landing = _step(board, *rated[move_type - 1], *current)
+                move_type = other(move_type)
+                if landing is None or landing[0] not in pool:
+                    break
+                if landing[0] == h and first == move_type == 1:
+                    break  # a cycle, closed back on h
+                if len(run) == len(pool):
+                    raise InternalInvariantError(
+                        f"the walk from {pool[h]} revisits a point "
+                        "without closing a cycle"
+                    )
+                run.append(landing[0])
+                current = (landing[0], landing[2])
+            done.update(run)
+            walked = tuple(map(pool.get, run))
+            if landing is not None and landing[0] == h:
+                out.append(Trajectory(walked, 1, TrajectoryStatus.CYCLIC))
+                break
+            runs.append((walked[-1], move_type, landing is not None, walked))
+        else:
+            # the path runs from the smaller end through h to the other
+            (_, first_type, back_open, back), (*_, ahead_open, ahead) = (
+                sorted(runs))
+            out.append(Trajectory(back[::-1] + ahead[1:], first_type,
+                                  _END_STATUS[back_open, ahead_open]))
     return out
 
 

@@ -250,10 +250,6 @@ class BoundaryLocation:
     index: int | None = None
 
 
-_OUTSIDE = BoundaryLocation(LocationKind.OUTSIDE)
-_INTERIOR = BoundaryLocation(LocationKind.INTERIOR)
-
-
 @dataclass(frozen=True)
 class Board:
     """Strictly convex rational polygon, corners counterclockwise.
@@ -297,7 +293,7 @@ class Board:
         return cls.from_corners([(0, 0), (1, 0), (1, 1), (0, 1)])
 
     def contains(self, point):
-        return self._locate(*_homogeneous(_as_point(point)))[0] is not _OUTSIDE
+        return self._locate(*_homogeneous(_as_point(point))) is not None
 
     def interior_contains(self, point):
         point = _as_point(point)
@@ -306,31 +302,29 @@ class Board:
     def classify(self, point):
         """Locate a point (a Point2 or an (x, y) pair): interior, on
         edge i, at corner i, or outside."""
-        return self._locate(*_homogeneous(_as_point(point)))[0]
+        edges = self._locate(*_homogeneous(_as_point(point)))
+        if not edges:
+            return BoundaryLocation(LocationKind.OUTSIDE if edges is None
+                                    else LocationKind.INTERIOR)
+        kind = LocationKind.EDGE if len(edges) == 1 else LocationKind.CORNER
+        return BoundaryLocation(kind, edges[-1])
 
     def _locate(self, x, y, w):
-        """classify for the point (x/w, y/w), w > 0, plus its heights.
-
-        Returns (location, heights) with heights[i] the integer height
-        of the point over rows[i], computed in one pass.
-        """
+        """The edge rows of the point (x/w, y/w), w > 0: None outside,
+        [] inside, else as `_boundary_edges` gives them."""
         heights = [a * x + b * y - c * w for a, b, c in self.rows]
         if min(heights) < 0:
-            return _OUTSIDE, heights
+            return None
         zero = [i for i, h in enumerate(heights) if h == 0]
-        if not zero:
-            return _INTERIOR, heights
-        edges = _boundary_edges(zero, len(heights), (x, y, w))
-        kind = LocationKind.EDGE if len(edges) == 1 else LocationKind.CORNER
-        return BoundaryLocation(kind, edges[-1]), heights
+        return _boundary_edges(zero, len(heights), (x, y, w))
 
 
 def _boundary_edges(zero, n, triple):
     """The edge rows of the point triple on a board of n rows, from the
-    ascending indices `zero` of the rows it lies on: [i] on edge i,
-    [i - 1, i] at corner i > 0 and [n - 1, 0] at corner 0."""
-    # an edge, or two adjacent edge lines meeting at their shared corner
-    if len(zero) == 1 or len(zero) == 2 and zero[1] == zero[0] + 1:
+    ascending indices `zero` of the rows it lies on: [] on none, [i] on
+    edge i, [i - 1, i] at corner i > 0 and [n - 1, 0] at corner 0."""
+    # none, an edge, or two adjacent edge lines meeting at their corner
+    if len(zero) < 2 or len(zero) == 2 and zero[1] == zero[0] + 1:
         return zero
     if zero == [0, n - 1]:
         return [n - 1, 0]

@@ -169,6 +169,23 @@ def test_board_file_that_is_not_json_names_it(capsys, tmp_path):
     assert err.startswith(f"error: bad JSON in board file {bad}: ")
 
 
+@pytest.mark.parametrize("command, flag", [
+    ("denominator", "--board"),
+    ("denominator", "--config"),
+    ("float-sim", "--board"),
+])
+def test_file_nested_beyond_the_recursion_limit_exits_2(capsys, tmp_path,
+                                                         command, flag):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    args = {"denominator": ["--moves", "2,1", "1,2", "--q", "2"],
+            "float-sim": ["--slopes", "1/2", "2", "--start", "0,1/3"]}
+    code, out, err = run_cli(capsys, command, *args[command], flag, str(deep))
+    assert (code, out) == (2, "")
+    where = f" in board file {deep}" if flag == "--board" else ""
+    assert err.startswith(f"error: bad JSON{where}: ")
+
+
 def test_missing_board_file_exits_2(capsys, tmp_path):
     missing = tmp_path / "missing.json"
     code, out, err = run_cli(capsys, "denominator", "--moves", "2,1", "1,2",

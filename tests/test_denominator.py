@@ -3,12 +3,13 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations, product
 from math import lcm
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from riderflow import (
     Board,
@@ -26,6 +27,7 @@ from riderflow import (
     closed_form_orthogonal,
     crossing_points,
     denominator,
+    enumerate_rigid_cycles,
     inclined_crossing_point,
     matrix_rank,
     trace,
@@ -224,6 +226,61 @@ def test_denominator_matches_the_vertex_oracle_at_q3_on_the_pentagon(
 ):
     assert denominator(pentagon, moves, 3).value == value
     assert vertex_oracle(pentagon, moves, 3) == value
+
+
+# GL2(Z) generators as rows ((a, b), (c, d)): (x, y) -> (ax + by, cx + dy)
+QUARTER_TURN = ((0, -1), (1, 0))
+SHEAR = ((1, 1), (0, 1))
+MIRROR = ((1, 0), (0, -1))
+
+
+def _times(g, h):
+    return tuple(tuple(sum(g[i][k] * h[k][j] for k in (0, 1))
+                       for j in (0, 1)) for i in (0, 1))
+
+
+def unimodular_maps():
+    """Products of up to four generators: integer maps of determinant
+    ±1, which take lattice points to lattice points and back."""
+    return st.lists(st.sampled_from([QUARTER_TURN, SHEAR, MIRROR]),
+                    max_size=4).map(
+        lambda factors: reduce(_times, factors, ((1, 0), (0, 1))))
+
+
+def _cycle_links(cycle, image=lambda p: p):
+    return frozenset((frozenset(map(image, s[:2])), s[2])
+                     for s in cycle.segments())
+
+
+@given(convex_boards(), move_pairs(), unimodular_maps(),
+       st.tuples(st.integers(-3, 3), st.integers(-3, 3)))
+@settings(max_examples=60, deadline=None)
+# few drawn boards hold a rigid cycle: the square's 4-cycle under a map
+# of determinant -1, and a 6-cycle of the conftest pentagon
+@example(Board.square(), ORTH, _times(MIRROR, QUARTER_TURN), (2, -1))
+@example(Board.from_corners([(0, 0), (1, 0), (F(3, 2), 1), (F(1, 2), 2),
+                             (F(-1, 2), 1)]),
+         (canonical_move(0, 1), canonical_move(2, 1)), SHEAR, (0, 3))
+def test_lattice_maps_keep_denominators_and_rigid_cycles(board, moves, g,
+                                                         shift):
+    (a, b), (c, d) = g
+
+    def image(p):
+        return Point2(a * p.x + b * p.y + shift[0],
+                      c * p.x + d * p.y + shift[1])
+
+    corners = [image(p) for p in board.corners]
+    # a map of determinant -1 turns the corners clockwise
+    mapped = Board.from_corners(corners[::a * d - b * c])
+    mapped_moves = tuple(canonical_move(a * m.c + b * m.d, c * m.c + d * m.d)
+                         for m in moves)
+    for q in (1, 2, 3):
+        assert denominator(mapped, mapped_moves, q).value \
+            == denominator(board, moves, q).value
+    links = {_cycle_links(t, image)
+             for t in enumerate_rigid_cycles(board, moves, 6)}
+    assert {_cycle_links(t)
+            for t in enumerate_rigid_cycles(mapped, mapped_moves, 6)} == links
 
 
 # -- closed forms -----------------------------------------------------------

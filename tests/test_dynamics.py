@@ -24,6 +24,7 @@ from riderflow import (
     partition_into_trajectories,
     trace,
 )
+from riderflow import dynamics
 
 import oracles
 from conftest import (
@@ -537,3 +538,49 @@ def test_partition_of_a_trace_window_is_the_window(data):
         MIRRORED.get(t.status, t.status),
     )
     assert part in (t, reversed_t)
+
+
+@pytest.mark.parametrize("moves, window, status, steps", [
+    # a 300-point path: each walk steps once from every point it
+    # reaches, and both walks step from the smallest point
+    (INCLINED,
+     lambda square: trace(square, INCLINED, (0, F(1, 3)), 1, 300).points,
+     TrajectoryStatus.TRUNCATED, 301),
+    # a rigid 4-cycle, closed by the first walk
+    (ORTH, lambda square: enumerate_rigid_cycles(square, ORTH, 4)[0].points,
+     TrajectoryStatus.CYCLIC, 4),
+], ids=["path", "rigid-cycle"])
+def test_partition_walks_each_component_once(monkeypatch, square, moves,
+                                             window, status, steps):
+    points = window(square)
+    step_calls, locate_calls = [], []
+    step, locate = dynamics._step, Board._locate
+
+    def counted_step(*args):
+        step_calls.append(args)
+        return step(*args)
+
+    def counted_locate(self, *triple):
+        locate_calls.append(triple)
+        return locate(self, *triple)
+
+    monkeypatch.setattr(dynamics, "_step", counted_step)
+    monkeypatch.setattr(Board, "_locate", counted_locate)
+    (part,) = partition_into_trajectories(square, moves, points)
+    assert part.status is status and set(part.points) == set(points)
+    assert (len(step_calls), len(locate_calls)) == (steps, 1)
+
+
+def test_partition_walk_that_revisits_a_point_raises(monkeypatch, square):
+    # a broken step that walks h -> a -> b -> a -> ..., never closing
+    h, a, b = (Point2(F(k, 4), 0) for k in (1, 2, 3))
+    triples = {p: (p.x.numerator, 0, p.x.denominator) for p in (h, a, b)}
+    following = {triples[h]: a, triples[a]: b, triples[b]: a}
+
+    def looping_step(board, move, alongs, triple, edges):
+        return triples[following[triple]], board.rows[0], edges
+
+    monkeypatch.setattr(dynamics, "_step", looping_step)
+    with pytest.raises(InternalInvariantError,
+                       match="revisits a point without closing a cycle"):
+        partition_into_trajectories(square, INCLINED, [h, a, b])

@@ -1,0 +1,34 @@
+"""The package runs on the standard library alone."""
+
+import ast
+import re
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "riderflow").glob("*.py"))
+
+
+def _absolute_imports(path):
+    """The top-level module of each absolute import in a source file."""
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name.partition(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.partition(".")[0]
+
+
+def test_every_import_is_relative_or_from_the_standard_library():
+    assert len(SOURCES) > 1
+    outside = {(path.name, module) for path in SOURCES
+               for module in _absolute_imports(path)
+               if module not in sys.stdlib_module_names}
+    assert not outside
+
+
+def test_pyproject_declares_no_runtime_dependency():
+    text = (ROOT / "pyproject.toml").read_text()
+    project = re.search(r"^\[project\]$(.*?)^\[", text, re.M | re.S)[1]
+    assert re.findall(r"^dependencies\b.*$", project, re.M) \
+        == ["dependencies = []"]
