@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass, fields
 from functools import cache
@@ -622,6 +623,11 @@ def build_parser():
         prog="riderflow",
         description="exact dynamics and counting for two-move riders",
     )
+    # Up to Python 3.13 argparse reads "-" and a digit as a value only in
+    # an int or a decimal (-2, -.5); no flag starts that way, so here every
+    # such token is a value: -2/5, -2e-1, -1/2,1.
+    negative_number = re.compile(r"-[\d.]")
+    parser._negative_number_matcher = negative_number
     commands = parser.add_subparsers(dest="command", required=True)
 
     def command(name, func, summary, *flags, own={}):
@@ -629,6 +635,7 @@ def build_parser():
         gives its keywords.  A command that takes --moves is called
         with the problem, read once from its config file and flags."""
         sub = commands.add_parser(name, help=summary)
+        sub._negative_number_matcher = negative_number
         for flag in flags:
             sub.add_argument(flag, **own.get(flag, _FLAGS[flag]))
 

@@ -10,7 +10,7 @@ exactly-analyzed families.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import cycle, islice
 from math import copysign, gcd, hypot, inf
@@ -29,13 +29,14 @@ class FloatPath:
 def distances(points, limit_set):
     """Each point's distance to the nearest point of limit_set.
 
-    Equal to min(hypot(x - lx, y - ly)) over the limit set, found by a
-    sweep: the limit set, as float pairs without duplicates, is sorted
-    by x once, and from each point's place in that order the scan runs
-    outwards until |x - lx| alone exceeds the best distance so far
-    (hypot is never below it).  A point seen before reuses its distance;
-    +0.0 and -0.0 give equal distances, so points that compare equal
-    may share one.  Raises ValueError when the limit set is empty.
+    Equal to min(hypot(x - lx, y - ly)) over the limit set.  Its float
+    pairs are sorted once, without duplicates; from each point's place
+    the scan runs outwards until |x - lx| alone exceeds the best so far.
+    In a run of equal lx it bisects past ly < y - best and leaves at
+    ly > y + best: a float below fl(y - best) is below y - best, so a
+    skipped point can only tie best, and a point costs a few hypot
+    calls, not one per point of an edge.  Points equal as floats (+0.0
+    and -0.0 too) share one distance.  ValueError if the set is empty.
     """
     reference = sorted({(float(x), float(y)) for x, y in limit_set})
     if not reference:
@@ -52,16 +53,26 @@ def distances(points, limit_set):
 
 def _nearest(reference, x, y):
     """min(hypot(x - lx, y - ly)) over reference, which is sorted."""
-    right = bisect_left(reference, (x, -inf))
+    right = bisect_left(reference, (x, y))
     # seeded from a candidate, not inf, so that a NaN distance stays NaN
     lx, ly = reference[min(right, len(reference) - 1)]
     best = hypot(x - lx, y - ly)
-    for side in range(right, len(reference)), range(right - 1, -1, -1):
-        for j in side:
+    for j, step in (right, 1), (right - 1, -1):
+        while 0 <= j < len(reference):
             lx, ly = reference[j]
             if abs(x - lx) > best:
                 break
-            best = min(best, hypot(x - lx, y - ly))
+            if ly < y - best or ly > y + best:
+                # to the window's edge if it lies ahead, else past the run
+                if step > 0:
+                    key = (lx, y - best if ly < y - best else inf)
+                    j = bisect_left(reference, key, j + 1)
+                else:
+                    key = (lx, y + best if ly > y + best else -inf)
+                    j = bisect_right(reference, key, 0, j) - 1
+            else:
+                best = min(best, hypot(x - lx, y - ly))
+                j += step
     return best
 
 

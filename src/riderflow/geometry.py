@@ -17,6 +17,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm
 from typing import NamedTuple
 
@@ -289,6 +290,7 @@ class Board:
         return cls(corners, edges)
 
     @classmethod
+    @cache  # one per process: a Board is immutable
     def square(cls):
         return cls.from_corners([(0, 0), (1, 0), (1, 1), (0, 1)])
 

@@ -316,6 +316,29 @@ def test_rigid_cycles_match_the_fraction_oracle(data):
             == oracles.rigid_cycles(board, moves, length)
 
 
+# (board, moves, a cycle length) with rigid cycles of length <= 6, which
+# the random examples above seldom draw: a few in 200 hold any cycle
+CYCLE_BEARING = [
+    (Board.square, ORTH, 4),
+    (_pentagon, (VERTICAL, canonical_move(2, -1)), 6),
+    (_pentagon, (canonical_move(1, -3), canonical_move(2, 1)), 4),
+    (_pentagon, (canonical_move(2, -3), canonical_move(2, 3)), 6),
+    (_hexagon, (canonical_move(1, -3), canonical_move(1, 0)), 6),
+    (_hexagon, (canonical_move(1, -1), canonical_move(2, 1)), 4),
+    (_hexagon, (canonical_move(2, -3), canonical_move(2, 1)), 6),
+]
+
+
+@pytest.mark.parametrize("make_board, moves, length", CYCLE_BEARING)
+def test_rigid_cycles_that_exist_match_the_fraction_oracle(
+    make_board, moves, length
+):
+    board = make_board()
+    cycles = enumerate_rigid_cycles(board, moves, 6)
+    assert length in {len(t.points) for t in cycles}
+    assert cycles == oracles.rigid_cycles(board, moves, 6)
+
+
 # sha256 of every cycle list of a board, recorded with the Fraction
 # search rooted with both move types: (board, move pairs, max length,
 # cycles found in total, digest).

@@ -1088,6 +1088,53 @@ def test_float_sim_refuses_a_start_outside_the_board(
     assert err.startswith("error:") and "outside the board" in err
 
 
+PENTAGON_BOARD = {"corners": [["0", "0"], ["1", "0"], ["3/2", "1"],
+                              ["1/2", "2"], ["-1/2", "1"]]}
+
+
+# Each flag that takes a number, given as "-" and a digit in a form that
+# argparse alone reads as a flag, and the same value in a form that it
+# reads as a value: both print the same.
+FLOAT_SIM = ["float-sim", "--start", "1/3,0", "--limit", "corner",
+             "--slopes", "1/3"]
+ON_PENTAGON = ["--board", "BOARD", "--moves", "2,1", "1,-2", "--start"]
+NEGATIVE_VALUES = {
+    "--slopes p/q": (FLOAT_SIM + ["-2/5"], FLOAT_SIM + ["-0.4"]),
+    "--slopes exponent": (FLOAT_SIM + ["-2e-1"], FLOAT_SIM + ["-0.2"]),
+    "float-sim --start": (
+        ["float-sim", "--slopes", "1/2", "-2", "--board", "BOARD",
+         "--start", "-1/2,1"],
+        ["float-sim", "--slopes", "1/2", "-2", "--board", "BOARD",
+         "--start=-1/2,1"],
+    ),
+    "simulate --start": (["simulate", *ON_PENTAGON, "-1/2,1"],
+                         ["simulate", *ON_PENTAGON[:-1], "--start=-1/2,1"]),
+    "--moves": (
+        ["simulate", "--start", "0,1/3", "--max-steps", "50", "--moves",
+         "2,1", "-1,2"],
+        ["simulate", "--start", "0,1/3", "--max-steps", "50", "--moves",
+         "2,1", "1,-2"],
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, same", NEGATIVE_VALUES.values(),
+                         ids=NEGATIVE_VALUES)
+def test_a_negative_value_is_not_read_as_a_flag(capsys, tmp_path, argv,
+                                                same):
+    board_file = tmp_path / "board.json"
+    board_file.write_text(json.dumps(PENTAGON_BOARD))
+
+    def run(argv):
+        return run_cli(capsys, *[
+            str(board_file) if a == "BOARD" else a for a in argv
+        ])
+
+    code, out, err = run(argv)
+    assert (code, err) == (0, "") and out
+    assert run(same) == (0, out, "")
+
+
 def _regular_corners(k):
     """k integer corners near a circle, strictly convex, counterclockwise."""
     radius = k

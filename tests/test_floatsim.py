@@ -1,11 +1,13 @@
+import math
 from fractions import Fraction
-from math import inf, nan
+from math import inf, nan, nextafter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+import riderflow.floatsim as floatsim
 from conftest import MOVE_PAIRS, boundary_points, convex_boards
 from riderflow import (
     Board,
@@ -14,6 +16,7 @@ from riderflow import (
     RenderSpec,
     attractor_orbit,
     canonical_move,
+    corner_trajectories,
     distances,
     render_svg,
     simulate_float,
@@ -207,6 +210,69 @@ def test_distances_match_the_exhaustive_minimum(points, limit):
     assert [d.hex() for d in distances(points, limit)] == [
         d.hex() for d in oracles.nearest_distances_reference(points, limit)
     ]
+
+
+def test_distances_cost_a_few_hypot_calls_per_point(square, monkeypatch):
+    # float-sim --slopes 1/3 -0.4 --start 1/3,0 --steps 10000 --limit
+    # corner: most of the 1,024 limit points lie on the square's vertical
+    # edges, where a scan that stops on the x gap alone makes 280 hypot
+    # calls per point
+    moves = (canonical_move(3, 1), canonical_move(5, -2))
+    limit = [
+        (p.x, p.y)
+        for t in corner_trajectories(square, moves, max_points=256)
+        for p in t.points
+    ]
+    path = simulate_float(square, (F(1, 3), F(-2, 5)), (F(1, 3), 0),
+                          steps=10_000)
+    calls = []
+
+    def counted(a, b):
+        calls.append(None)
+        return math.hypot(a, b)
+
+    monkeypatch.setattr(floatsim, "hypot", counted)
+    dists = distances(path.points, limit)
+    assert len(calls) <= 8 * len(set(path.points))
+    head = path.points[:200] + path.points[-200:]
+    assert [d.hex() for d in dists[:200] + dists[-200:]] == [
+        d.hex() for d in oracles.nearest_distances_reference(head, limit)
+    ]
+
+
+def _ulps(value):
+    return [nextafter(value, -inf), value, nextafter(value, inf)]
+
+
+# (x, y, d): a query point and its nearest limit point's offset in y.
+# For the first two, y - best rounds above y - best, and for the next two
+# y + best rounds below y + best: a limit point there is nearer than best.
+EQUAL_X_RUNS = [
+    (0.0, -0.6, 0.3), (-0.0, -0.7, 0.2), (0.5, 0.3, -0.4), (1 / 3, 0.5, -0.2),
+    (0.25, 0.1, 0.3), (-0.0, 1e-300, -1e-300),
+]
+
+
+@pytest.mark.parametrize("x, y, d", EQUAL_X_RUNS)
+def test_distances_on_runs_of_equal_x_match_the_exhaustive_minimum(x, y, d):
+    # The run just right of x starts with the query's nearest point, best
+    # away, so the sweep seeds there and meets one more run, beside that
+    # one or left of x, with that best.  It holds one window point, at
+    # y - best, y + best or one ulp from either, between two far ones:
+    # the sweep bisects to it from below or above, or leaves the run
+    # there.  The run at x lies below y, in +0.0 and -0.0 when x is 0.
+    right, left = nextafter(x, inf), nextafter(x, -inf)
+    best = math.hypot(right - x, y - (y + d))
+    low, high = y - 9 * abs(d), y + 9 * abs(d)
+    base = [(-x, low), (x, low - abs(d)), (right, y + d), (right, high)]
+    points = [(x, y), (-x, y)]
+    for w in _ulps(y - best) + _ulps(y + best):
+        for lx in (nextafter(right, inf), left):
+            limit = base + [(lx, low), (lx, w), (lx, high)]
+            assert [v.hex() for v in distances(points, limit)] == [
+                v.hex()
+                for v in oracles.nearest_distances_reference(points, limit)
+            ]
 
 
 # -- SVG rendering ----------------------------------------------------------

@@ -113,6 +113,12 @@ def test_square_board_shape(square):
     assert not square.interior_contains(Point2(0, 0))
 
 
+def test_the_square_is_built_once():
+    square = Board.square()
+    assert Board.square() is square
+    assert square == Board.from_corners([(0, 0), (1, 0), (1, 1), (0, 1)])
+
+
 def test_classify_square(square):
     assert square.classify(Point2(0, 0)).kind is LocationKind.CORNER
     assert square.classify(Point2(0, 0)).index == 0
