@@ -163,6 +163,8 @@ def _board_from_value(value):
     if value == "square":
         return Board.square()
     if isinstance(value, dict):
+        if unknown := set(value) - {"corners"}:
+            raise ParseError(f"unknown board fields: {sorted(unknown)}")
         value = value.get("corners")
     if not isinstance(value, list) or len(value) < 3:
         raise ParseError("board must be \"square\" or a corner list")

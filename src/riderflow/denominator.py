@@ -386,7 +386,7 @@ def vertex_oracle(board, moves, q):
     and the pairwise attack hyperplanes, lying inside the closed board.
     Bases grow depth first in row order through `_extend`, and a branch
     ends at the first row in the span of those before it.  A solution
-    (x/w, y/w) per piece is in the board when every a·x + b·y - c·w >= 0.
+    (x/w, y/w) per piece is in the board when `Board._locate` finds it.
     """
 
     if q > 3:
@@ -405,8 +405,7 @@ def vertex_oracle(board, moves, q):
         if len(basis) == dim:
             xs, w = _back_substitute(basis, dim)
             pieces = list(zip(xs[::2], xs[1::2]))
-            if all(a * x + b * y >= c * w
-                   for x, y in pieces for a, b, c in board.rows):
+            if all(board._locate(x, y, w) is not None for x, y in pieces):
                 value = lcm(value, *(w // gcd(x, y, w) for x, y in pieces))
             return
         for k in range(start, len(rows) - dim + len(basis) + 1):

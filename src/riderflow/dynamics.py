@@ -48,7 +48,7 @@ every gcd a step needs by small integers of the board's edge rows.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import gcd
 
 from .geometry import (
@@ -260,34 +260,36 @@ def corner_trajectories(board, moves, max_points=10_000):
 
 
 def augment(board, moves, trajectory):
-    """The window traced again one antipode step past each open end; a
-    cyclic window comes back as is, as its segments close the loop."""
+    """The window plus one antipode step past each open end.  A cyclic
+    window comes back as is, and one a point short of a cycle, whose
+    added ends coincide, closed.  An open forward end stays open, cut."""
+
+    def past(point, move_type, end):
+        beyond = antipode(board, moves[move_type - 1], point)
+        if beyond == point:
+            raise InternalInvariantError(
+                f"status {trajectory.status} claims an open {end} end "
+                f"but the antipode at {point} is the identity"
+            )
+        return beyond
 
     if trajectory.status is TrajectoryStatus.CYCLIC:
         return trajectory
     backward_open, forward_open = _OPEN_ENDS[trajectory.status]
-    start, first = trajectory.points[0], trajectory.first_move_type
+    points, first = list(trajectory.points), trajectory.first_move_type
+    if forward_open:
+        forward = trajectory.move_type_at(len(points) - 1)
+        points.append(past(points[-1], forward, "forward"))
     if backward_open:
-        before = antipode(board, moves[other(first) - 1], start)
-        if before == start:
-            raise InternalInvariantError(
-                f"status {trajectory.status} claims an open backward end "
-                f"but the antipode at {start} is the identity"
-            )
-        start, first = before, other(first)
-    size = len(trajectory) + backward_open + forward_open
-    out = trace(board, moves, start, first, max_points=size)
-    if out.status is TrajectoryStatus.CYCLIC:
-        # a window that misses two points of a cycle gains both, but not
-        # the segment that joins them
-        if len(out) == size:
-            return replace(out, status=TrajectoryStatus.TRUNCATED)
-    elif forward_open and len(out) < size:
-        raise InternalInvariantError(
-            f"status {trajectory.status} claims an open forward end "
-            f"but the antipode at {trajectory.points[-1]} is the identity"
-        )
-    return out
+        before = past(points[0], other(first), "backward")
+        if forward_open and before == points[-1]:
+            return Trajectory((before, *points[:-1]), other(first),
+                              TrajectoryStatus.CYCLIC)
+        backward_open = antipode(board, moves[first - 1], before) != before
+        points.insert(0, before)
+        first = other(first)
+    return Trajectory(tuple(points), first,
+                      _END_STATUS[backward_open, forward_open])
 
 
 def partition_into_trajectories(board, moves, points):

@@ -15,7 +15,7 @@ import enum
 import re
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
@@ -255,19 +255,14 @@ class BoundaryLocation:
 class Board:
     """Strictly convex rational polygon, corners counterclockwise.
 
-    edges[i] is the row of the edge from corners[i] to corners[i + 1
-    (mod n)], so edges i - 1 and i meet at corner i.  rows[i] is the
-    same (a, b, c) as a plain tuple, which the hot loops unpack faster:
-    a point (x/w, y/w) with w > 0 has the integer height
-    a·x + b·y - c·w = w·edges[i].side_of(point).
+    rows[i] is the `Edge` of the edge from corners[i] to corners[i + 1
+    (mod n)], so rows i - 1 and i meet at corner i.  A point (x/w, y/w)
+    with w > 0 has the integer height a·x + b·y - c·w over rows[i],
+    w·rows[i].side_of(point).
     """
 
     corners: tuple
-    edges: tuple
-    rows: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "rows", tuple(map(tuple, self.edges)))
+    rows: tuple
 
     @classmethod
     def from_corners(cls, corners):
@@ -283,11 +278,11 @@ class Board:
                     "corners must be distinct, strictly convex, and wind "
                     "counterclockwise"
                 )
-        edges = tuple(  # inward for CCW winding
+        rows = tuple(  # inward for CCW winding
             Edge(*line_through(corners[i], corners[(i + 1) % n]))
             for i in range(n)
         )
-        return cls(corners, edges)
+        return cls(corners, rows)
 
     @classmethod
     @cache  # one per process: a Board is immutable
@@ -299,7 +294,7 @@ class Board:
 
     def interior_contains(self, point):
         point = _as_point(point)
-        return all(e.side_of(point) > 0 for e in self.edges)
+        return all(row.side_of(point) > 0 for row in self.rows)
 
     def classify(self, point):
         """Locate a point (a Point2 or an (x, y) pair): interior, on

@@ -254,9 +254,9 @@ def evaluate_fit(fitted, n):
 
 def classify(board, point):
     """Interior, on edge i, at corner i, or outside, from `Edge.side_of`."""
-    n = len(board.edges)
+    n = len(board.rows)
     zero = []
-    for i, e in enumerate(board.edges):
+    for i, e in enumerate(board.rows):
         s = e.side_of(point)
         if s < 0:
             return BoundaryLocation(LocationKind.OUTSIDE)
@@ -284,7 +284,7 @@ def antipode(board, move, point):
         raise NotOnBoundary(f"{point} is interior, not on the boundary")
     t_lo = None
     t_hi = None
-    for edge in board.edges:
+    for edge in board.rows:
         along = edge.a * move.c + edge.b * move.d
         height = edge.side_of(point)
         if along == 0:
@@ -362,7 +362,7 @@ def _edge_ends(board, i):
 def _land(board, point_aff, move, edge_index):
     """Affine image of a point slid along `move` onto an edge line, plus
     the landing's edge parameter u as an affine function of t."""
-    a, b, c = board.edges[edge_index]
+    a, b, c = board.rows[edge_index]
     along = a * move.c + b * move.d
     if along == 0:
         return None
@@ -399,7 +399,7 @@ def rigid_cycles(board, moves, max_length):
     arithmetic, windows clipped by the landing edge's own parameter in
     [0, 1], rooted on every edge with both first move types.
     """
-    n = len(board.edges)
+    n = len(board.rows)
     found = {}
 
     def accept(points, first_type, require_rigid):

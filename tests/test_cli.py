@@ -160,6 +160,22 @@ def test_malformed_config_or_board_file_exits_2(capsys, tmp_path, route):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("route", ["--config", "--board"])
+def test_unknown_board_fields_exit_2(capsys, tmp_path, route):
+    board = {"corners": [[0, 0], [1, 0], [0, 1]], "scale": 5}
+    path = tmp_path / "input.json"
+    if route == "--config":
+        path.write_text(json.dumps({"moves": [[2, 1], [1, 2]], "q": 2,
+                                    "board": board}))
+        argv = ["--config", str(path)]
+    else:
+        path.write_text(json.dumps(board))
+        argv = ["--moves", "2,1", "1,2", "--q", "2", "--board", str(path)]
+    code, out, err = run_cli(capsys, "denominator", *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: unknown board fields: ['scale']\n"
+
+
 def test_board_file_that_is_not_json_names_it(capsys, tmp_path):
     bad = tmp_path / "board.json"
     bad.write_text('{"corners": [[0, 0] [1, 0], [0, 1]]}')

@@ -17,6 +17,7 @@ from riderflow import (
     SlopeConditionViolated,
     Trajectory,
     TrajectoryStatus,
+    antipode,
     arrangement_of,
     attractor_orbit,
     augment,
@@ -36,7 +37,12 @@ from riderflow import (
 from riderflow.geometry import format_point
 
 import oracles
-from conftest import canonical_move_pairs, convex_boards, move_pairs
+from conftest import (
+    boundary_points,
+    canonical_move_pairs,
+    convex_boards,
+    move_pairs,
+)
 
 F = Fraction
 INCLINED = (canonical_move(2, 1), canonical_move(1, 2))
@@ -252,17 +258,12 @@ def _cycle_links(cycle, image=lambda p: p):
                      for s in cycle.segments())
 
 
-@given(convex_boards(), move_pairs(), unimodular_maps(),
-       st.tuples(st.integers(-3, 3), st.integers(-3, 3)))
-@settings(max_examples=60, deadline=None)
-# few drawn boards hold a rigid cycle: the square's 4-cycle under a map
-# of determinant -1, and a 6-cycle of the conftest pentagon
-@example(Board.square(), ORTH, _times(MIRROR, QUARTER_TURN), (2, -1))
-@example(Board.from_corners([(0, 0), (1, 0), (F(3, 2), 1), (F(1, 2), 2),
-                             (F(-1, 2), 1)]),
-         (canonical_move(0, 1), canonical_move(2, 1)), SHEAR, (0, 3))
-def test_lattice_maps_keep_denominators_and_rigid_cycles(board, moves, g,
-                                                         shift):
+SHIFTS = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+
+
+def _lattice_map(board, moves, g, shift):
+    """The map z -> g·z + shift on points, with the board and the moves
+    it maps to."""
     (a, b), (c, d) = g
 
     def image(p):
@@ -274,6 +275,20 @@ def test_lattice_maps_keep_denominators_and_rigid_cycles(board, moves, g,
     mapped = Board.from_corners(corners[::a * d - b * c])
     mapped_moves = tuple(canonical_move(a * m.c + b * m.d, c * m.c + d * m.d)
                          for m in moves)
+    return image, mapped, mapped_moves
+
+
+@given(convex_boards(), move_pairs(), unimodular_maps(), SHIFTS)
+@settings(max_examples=60, deadline=None)
+# few drawn boards hold a rigid cycle: the square's 4-cycle under a map
+# of determinant -1, and a 6-cycle of the conftest pentagon
+@example(Board.square(), ORTH, _times(MIRROR, QUARTER_TURN), (2, -1))
+@example(Board.from_corners([(0, 0), (1, 0), (F(3, 2), 1), (F(1, 2), 2),
+                             (F(-1, 2), 1)]),
+         (canonical_move(0, 1), canonical_move(2, 1)), SHEAR, (0, 3))
+def test_lattice_maps_keep_denominators_and_rigid_cycles(board, moves, g,
+                                                         shift):
+    image, mapped, mapped_moves = _lattice_map(board, moves, g, shift)
     for q in (1, 2, 3):
         assert denominator(mapped, mapped_moves, q).value \
             == denominator(board, moves, q).value
@@ -281,6 +296,29 @@ def test_lattice_maps_keep_denominators_and_rigid_cycles(board, moves, g,
              for t in enumerate_rigid_cycles(board, moves, 6)}
     assert {_cycle_links(t)
             for t in enumerate_rigid_cycles(mapped, mapped_moves, 6)} == links
+
+
+@given(convex_boards().flatmap(
+           lambda board: st.tuples(st.just(board), boundary_points(board))),
+       move_pairs(), st.sampled_from((1, 2)), unimodular_maps(), SHIFTS)
+@settings(max_examples=60, deadline=None)
+@example((Board.square(), Point2(0, F(1, 3))), INCLINED, 1, SHEAR, (1, 0))
+def test_lattice_maps_carry_trajectories_and_vertex_oracle(
+        placed, moves, first, g, shift):
+    board, start = placed
+    image, mapped, mapped_moves = _lattice_map(board, moves, g, shift)
+    window = trace(board, moves, start, first, max_points=12)
+    mapped_window = trace(mapped, mapped_moves, image(start), first,
+                          max_points=12)
+    assert mapped_window.points == tuple(map(image, window.points))
+    assert (mapped_window.status, mapped_window.first_move_type) \
+        == (window.status, first)
+    for move, mapped_move in zip(moves, mapped_moves):
+        assert antipode(mapped, mapped_move, image(start)) \
+            == image(antipode(board, move, start))
+    for q in (1, 2):
+        assert vertex_oracle(mapped, mapped_moves, q) \
+            == vertex_oracle(board, moves, q)
 
 
 # -- closed forms -----------------------------------------------------------

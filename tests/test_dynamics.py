@@ -91,7 +91,7 @@ def test_a_landing_on_edge_lines_that_no_corner_joins_raises(square, copies):
     # the square's rows with the right edge's row repeated at the end:
     # the landing (1, 1/2) lies on row 1 and on each copy, rows that no
     # strictly convex board has meeting at a boundary point
-    board = Board(square.corners, square.edges + (square.edges[1],) * copies)
+    board = Board(square.corners, square.rows + (square.rows[1],) * copies)
     horizontal = canonical_move(1, 0)
     message = f"lies on {copies + 1} edge lines of a strictly convex board"
     with pytest.raises(InternalInvariantError, match=message):
@@ -252,6 +252,33 @@ def test_augment_leaves_open_a_window_two_points_short_of_a_cycle(square):
     aug = augment(square, ORTH, window)
     assert aug.status is TrajectoryStatus.TRUNCATED
     assert aug.segments() == [(c[3], c[0], 2), (c[0], c[1], 1), (c[1], c[2], 2)]
+
+
+def test_augment_steps_once_past_each_end(monkeypatch, square):
+    window = trace(square, INCLINED, (0, F(1, 3)), 1, max_points=300)
+    assert window.status is TrajectoryStatus.TRUNCATED
+    before = antipode(square, INCLINED[1], window.points[0])
+    traced = trace(square, INCLINED, before, 2, max_points=302)
+    step_calls, locate_calls = _count_steps_and_locates(monkeypatch)
+    aug = augment(square, INCLINED, window)
+    # one antipode past each end, and one for the new backward end's
+    # status, instead of tracing the window again
+    assert len(step_calls) <= 3 and len(locate_calls) <= 3
+    assert (aug.points, aug.first_move_type, aug.status) \
+        == (traced.points, 2, TrajectoryStatus.TRUNCATED)
+
+
+def test_augment_leaves_an_open_forward_end_open(square):
+    # the added forward end (0, 1) stops under (1, 1), but augment
+    # takes no step from it: the augmented window is cut there
+    moves = (canonical_move(1, -1), canonical_move(1, 1))
+    window = trace(square, moves, Point2(1, 0), 1, max_points=1)
+    assert window.status is TrajectoryStatus.STOPPED_BACKWARD
+    aug = augment(square, moves, window)
+    assert aug.points == (Point2(1, 0), Point2(0, 1))
+    assert aug.status is TrajectoryStatus.STOPPED_BACKWARD
+    assert trace(square, moves, Point2(1, 0), 1).status \
+        is TrajectoryStatus.STOPPED_BOTH_ENDS
 
 
 @given(st.data())
@@ -540,19 +567,9 @@ def test_partition_of_a_trace_window_is_the_window(data):
     assert part in (t, reversed_t)
 
 
-@pytest.mark.parametrize("moves, window, status, steps", [
-    # a 300-point path: each walk steps once from every point it
-    # reaches, and both walks step from the smallest point
-    (INCLINED,
-     lambda square: trace(square, INCLINED, (0, F(1, 3)), 1, 300).points,
-     TrajectoryStatus.TRUNCATED, 301),
-    # a rigid 4-cycle, closed by the first walk
-    (ORTH, lambda square: enumerate_rigid_cycles(square, ORTH, 4)[0].points,
-     TrajectoryStatus.CYCLIC, 4),
-], ids=["path", "rigid-cycle"])
-def test_partition_walks_each_component_once(monkeypatch, square, moves,
-                                             window, status, steps):
-    points = window(square)
+def _count_steps_and_locates(monkeypatch):
+    """Lists that gather the arguments of each `_step` and each
+    `Board._locate` call from here on."""
     step_calls, locate_calls = [], []
     step, locate = dynamics._step, Board._locate
 
@@ -566,6 +583,23 @@ def test_partition_walks_each_component_once(monkeypatch, square, moves,
 
     monkeypatch.setattr(dynamics, "_step", counted_step)
     monkeypatch.setattr(Board, "_locate", counted_locate)
+    return step_calls, locate_calls
+
+
+@pytest.mark.parametrize("moves, window, status, steps", [
+    # a 300-point path: each walk steps once from every point it
+    # reaches, and both walks step from the smallest point
+    (INCLINED,
+     lambda square: trace(square, INCLINED, (0, F(1, 3)), 1, 300).points,
+     TrajectoryStatus.TRUNCATED, 301),
+    # a rigid 4-cycle, closed by the first walk
+    (ORTH, lambda square: enumerate_rigid_cycles(square, ORTH, 4)[0].points,
+     TrajectoryStatus.CYCLIC, 4),
+], ids=["path", "rigid-cycle"])
+def test_partition_walks_each_component_once(monkeypatch, square, moves,
+                                             window, status, steps):
+    points = window(square)
+    step_calls, locate_calls = _count_steps_and_locates(monkeypatch)
     (part,) = partition_into_trajectories(square, moves, points)
     assert part.status is status and set(part.points) == set(points)
     assert (len(step_calls), len(locate_calls)) == (steps, 1)

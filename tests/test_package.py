@@ -2,6 +2,7 @@
 
 import ast
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -32,3 +33,30 @@ def test_pyproject_declares_no_runtime_dependency():
     project = re.search(r"^\[project\]$(.*?)^\[", text, re.M | re.S)[1]
     assert re.findall(r"^dependencies\b.*$", project, re.M) \
         == ["dependencies = []"]
+
+
+PROBE = """
+from hypothesis import given, settings, strategies as st
+
+
+@given(st.integers())
+@settings(database=None)
+def test_probe(n):
+    assert n < 5
+"""
+
+
+def test_a_failing_hypothesis_test_is_reported_not_an_internal_error(
+        tmp_path):
+    # Hypothesis's failure report must get through the project's
+    # warnings-as-errors setting to name the test and its example
+    (tmp_path / "test_probe.py").write_text(PROBE)
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(ROOT / "pyproject.toml"), "--rootdir", str(tmp_path),
+         "test_probe.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    output = run.stdout + run.stderr
+    assert run.returncode == 1, output
+    assert re.search(r"^FAILED .*test_probe", output, re.M)
+    assert "INTERNALERROR" not in output
