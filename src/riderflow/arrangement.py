@@ -166,10 +166,12 @@ def classify_cycle(board, moves, trajectory):
 # a strictly convex board the line through a cycle point along either
 # move meets the boundary only at that point and at its neighbour along
 # that move, so such an attack repeats a point.  Degenerate closures are
-# therefore skipped.  These are all integer cross-multiplications;
-# only window bounds and roots are Fractions.  Corner-touching solutions
-# are excluded here — cyclical trajectories through a corner are covered
-# by the corner-trajectory machinery.
+# therefore skipped.  These are all integer cross-multiplications,
+# window bounds and closure roots included: each is an integer pair
+# (p, q), q > 0, meaning p/q, and only the points of a candidate closure
+# become Fractions.  Corner-touching solutions are excluded here —
+# cyclical trajectories through a corner are covered by the
+# corner-trajectory machinery.
 #
 # Roots use move type 1 only.  Every point of a cycle leaves with move
 # type 1 in exactly one of its two directions of traversal, and landings
@@ -188,21 +190,22 @@ def _reduced(f):
 
 
 def _clip(lo, hi, f1, f0):
-    """Intersect [lo, hi] with {t : f1·t + f0 >= 0}."""
+    """Intersect [lo, hi] with {t : f1·t + f0 >= 0}.  Each bound is a
+    pair (p, q), q > 0, meaning p/q, compared by cross-multiplication;
+    a clipped bound is (-f0, f1) or (f0, -f1)."""
     if f1 == 0:
         return (lo, hi) if f0 >= 0 else None
-    bound = Fraction(-f0, f1)
     if f1 > 0:
-        if bound > lo:
-            lo = bound
-    elif bound < hi:
-        hi = bound
-    return (lo, hi) if lo <= hi else None
+        if -f0 * lo[1] > lo[0] * f1:
+            lo = (-f0, f1)
+    elif f0 * hi[1] < hi[0] * -f1:
+        hi = (f0, -f1)
+    return (lo, hi) if lo[0] * hi[1] <= hi[0] * lo[1] else None
 
 
 def _points_at(path, t):
-    """The path's points at the parameter t."""
-    p, q = t.numerator, t.denominator
+    """The path's points at the parameter t = p/q, given as (p, q), q > 0."""
+    p, q = t
     return tuple(
         _from_homogeneous(x1 * p + x0 * q, y1 * p + y0 * q, w * q)
         for x1, x0, y1, y0, w in path
@@ -280,9 +283,10 @@ def enumerate_rigid_cycles(board, moves, max_length):
                 d1 = (x1 * v - s1 * w) * s1 + (y1 * v - t1 * w) * t1
                 d0 = (x0 * v - s0 * w) * s1 + (y0 * v - t0 * w) * t1
                 if d1 != 0:
-                    root = Fraction(-d0, d1)
-                    if c_lo <= root <= c_hi:
-                        accept(_points_at(path, root))
+                    p, q = (-d0, d1) if d1 > 0 else (d0, -d1)
+                    if (c_lo[0] * q <= p * c_lo[1]
+                            and p * c_hi[1] <= c_hi[0] * q):
+                        accept(_points_at(path, (p, q)))
         if depth >= max_length:
             return
         for edge_index in range(start_edge, n):
@@ -301,6 +305,6 @@ def enumerate_rigid_cycles(board, moves, max_length):
             hx, hy, hw = _homogeneous(board.corners[(start_edge + 1) % n])
             p0 = _reduced((hx * tw - tx * hw, tx * hw,
                            hy * tw - ty * hw, ty * hw, tw * hw))
-            descend([p0], start_edge, 1, Fraction(0), Fraction(1), start_edge)
+            descend([p0], start_edge, 1, (0, 1), (1, 1), start_edge)
 
     return sorted(found.values(), key=lambda tr: (len(tr.points), tr.points))

@@ -239,10 +239,9 @@ def denominator(board, moves, q):
     value = 1
     for den in contributions.values():
         value = lcm(value, den)
-    report = tuple(
-        Contribution(cat, pt, den)
-        for (cat, pt), den in sorted(contributions.items())
-    )
+    ordered = sorted(contributions.items(),  # (category, x, y) is unique
+                     key=lambda kv: (kv[0][0], kv[0][1].x, kv[0][1].y))
+    report = tuple(Contribution(cat, pt, den) for (cat, pt), den in ordered)
     return DenominatorReport(q, value, report, cycles, windows)
 
 

@@ -234,8 +234,12 @@ class Edge(NamedTuple):
     c: int
 
     def side_of(self, point):
-        """a·x + b·y - c: 0 on the line, positive on the board side."""
-        return self.a * point.x + self.b * point.y - self.c
+        """a·x + b·y - c: 0 on the line, positive on the board side; one
+        Fraction over the product of the coordinate denominators."""
+        x, y = point.x, point.y
+        xd, yd = x.denominator, y.denominator
+        return Fraction(self.a * x.numerator * yd + self.b * y.numerator * xd
+                        - self.c * xd * yd, xd * yd)
 
 
 class LocationKind(enum.Enum):

@@ -12,9 +12,10 @@ interpolates with the library's one elimination routine.
 `evaluate_fit` evaluates a fitted quasipolynomial at n.
 
 `classify`, `antipode` and `stepped_trace` are the bounce step over
-`Fraction` arithmetic: locate the point with one `Edge.side_of` per
-edge, then clip the move line against every edge half-plane.  They
-share no code with the integer kernel in `riderflow.dynamics`.
+`Fraction` arithmetic: locate the point with one `Fraction` height
+a·x + b·y - c per edge, then clip the move line against every edge
+half-plane.  They share no code with the integer kernel in
+`riderflow.dynamics` or with `Edge.side_of`.
 
 `rigid_cycles` is the rigid-cycle search over `Fraction` affine
 families, rooted with both first move types; it shares the bounce and
@@ -253,11 +254,12 @@ def evaluate_fit(fitted, n):
 
 
 def classify(board, point):
-    """Interior, on edge i, at corner i, or outside, from `Edge.side_of`."""
+    """Interior, on edge i, at corner i, or outside, from each edge's
+    `Fraction` height a·x + b·y - c."""
     n = len(board.rows)
     zero = []
     for i, e in enumerate(board.rows):
-        s = e.side_of(point)
+        s = e.a * point.x + e.b * point.y - e.c
         if s < 0:
             return BoundaryLocation(LocationKind.OUTSIDE)
         if s == 0:
@@ -286,7 +288,7 @@ def antipode(board, move, point):
     t_hi = None
     for edge in board.rows:
         along = edge.a * move.c + edge.b * move.d
-        height = edge.side_of(point)
+        height = edge.a * point.x + edge.b * point.y - edge.c
         if along == 0:
             if height == 0:
                 return point

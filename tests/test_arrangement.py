@@ -290,11 +290,11 @@ def test_search_windows_are_exactly_the_valid_parameters(make_board, moves):
     _, nodes = _search_calls("descend", board, moves, 6)
     assert len(nodes) > 4
     for node in nodes:
-        path, lo, hi = node["path"], node["lo"], node["hi"]
+        path, lo, hi = node["path"], F(*node["lo"]), F(*node["hi"])
         assert lo <= hi
 
         def kinds(t):
-            points = arrangement._points_at(path, t)
+            points = arrangement._points_at(path, t.as_integer_ratio())
             return {board.classify(p).kind for p in points}
 
         boundary = {LocationKind.EDGE, LocationKind.CORNER}
@@ -302,6 +302,40 @@ def test_search_windows_are_exactly_the_valid_parameters(make_board, moves):
         for t in (lo, hi):
             assert kinds(t) <= boundary
             assert LocationKind.CORNER in kinds(t)
+
+
+@pytest.mark.parametrize(
+    "make_board, moves, max_length",
+    [(Board.square, INCLINED, 10), (_pentagon, ORTH, 8)],
+)
+def test_rigid_search_builds_fractions_only_for_closure_points(
+    monkeypatch, make_board, moves, max_length
+):
+    # window bounds and closure roots are integer pairs, so a search that
+    # finds no cycle builds two Fractions per candidate closure point and
+    # none elsewhere
+    board = make_board()
+    points_at, fraction_new = arrangement._points_at, Fraction.__new__
+    built = points = 0
+
+    def counting_new(cls, *args, **kwargs):
+        nonlocal built
+        built += 1
+        return fraction_new(cls, *args, **kwargs)
+
+    def spy(path, t):
+        nonlocal points
+        out = points_at(path, t)
+        points += len(out)
+        return out
+
+    monkeypatch.setattr(arrangement, "_points_at", spy)
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    cycles = enumerate_rigid_cycles(board, moves, max_length)
+    monkeypatch.undo()
+    assert cycles == []
+    assert points > 0
+    assert built == 2 * points
 
 
 @given(st.data())

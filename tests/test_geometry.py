@@ -198,6 +198,28 @@ def test_classify_matches_halfplane_oracle(x, y):
         assert kind in (LocationKind.EDGE, LocationKind.CORNER)
 
 
+# negative, zero and huge coordinates, denominators up to 10**30
+wide_rationals = st.builds(
+    Fraction, st.integers(-10**31, 10**31), st.integers(1, 10**30)
+)
+
+
+@given(st.data())
+def test_side_of_is_the_exact_height(data):
+    board = data.draw(convex_boards())
+    p = data.draw(st.one_of(
+        st.builds(Point2, rationals, rationals),
+        st.builds(Point2, wide_rationals, wide_rationals),
+        boundary_points(board),
+    ))
+    for edge in board.rows:
+        side = edge.side_of(p)
+        assert side == edge.a * p.x + edge.b * p.y - edge.c
+        assert type(side) is Fraction
+    assert board.interior_contains(p) \
+        == (board.classify(p).kind is LocationKind.INTERIOR)
+
+
 @given(convex_boards())
 def test_board_edges_are_primitive_integer_rows(board):
     n = len(board.corners)
