@@ -35,7 +35,7 @@ from itertools import permutations
 from math import factorial, prod
 
 from .arrangement import solve_square_system
-from .geometry import Board, InternalInvariantError
+from .geometry import Board, InternalInvariantError, Move
 from .denominator import denominator
 
 
@@ -175,12 +175,15 @@ class _LineGraph:
     Side 0 holds the move-1 lines, side 1 the move-2 lines.  across[s][i]
     lists, one entry per cell, the other side's lines that meet line i of
     side s, and degrees[s][i] is its length; an index whose line misses
-    the board has degree 0.
+    the board has degree 0.  A move with a component of n or more puts
+    each cell on a line of its own, so it is keyed as the move (1, n).
     """
 
     def __init__(self, moves, n):
         if len(moves) != 2 or moves[0].c * moves[1].d == moves[0].d * moves[1].c:
             raise ValueError("counting needs two nonparallel moves")
+        moves = [m if max(abs(m.c), abs(m.d)) < n else Move(1, n)
+                 for m in moves]
         lows = []
         self.across = []
         for move in moves:

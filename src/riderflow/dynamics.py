@@ -9,13 +9,14 @@ the particle stops.
 
 Steps run on homogeneous integer coordinates: a point is a gcd-reduced
 triple (x, y, w) meaning (x/w, y/w), clipped against the board's integer
-edge rows with integer cross-multiplication.  `Board._locate` runs once
-per walk, on its start; the partition walks each component once, from
-its smallest point.  A step takes the point's edge rows, one on an edge
-and two at a corner, and returns the landing's with the landing:
-the falling row that the move line reaches first, or the two that tie
-there and meet at a corner.  Heights are computed only over the rows
-whose height falls along the move, told apart by the signs of the
+edge rows with integer cross-multiplication.  `_walk` steps an orbit for
+`trace` and the partition, which walks each component once from its
+smallest point; `Board._locate` runs once per walk, on its start.  A
+step takes the point's edge rows, one on an edge and two at a corner,
+and returns the landing as (triple, edges), the next walk state; its
+rows are the falling row that the move line reaches first, or the two
+that tie there and meet at a corner.  Heights are computed only over the
+rows whose height falls along the move, told apart by the signs of the
 move's rates over the rows (`_alongs`, once per walk).  Over any other
 row the landing's height is at least the start's, which is ≥ 0, and it
 is 0 only if the move runs along an edge of the start, where the step
@@ -40,9 +41,9 @@ every gcd a step needs by small integers of the board's edge rows.
 * A point's coordinates.  Let (x, y, w) lie on the row (a, b, c).  Then
   gcd(x, w) divides b: p^k | x and p^k | w force p^k | b·y, and p does
   not divide y.  Likewise gcd(y, w) divides a.  With b = 0, x/w is c/a;
-  with a = 0, y/w is c/b.  `_step` returns the row it lands on, and
-  `geometry._point_on_row` builds each `Fraction` from coprime integers
-  after that small-first gcd, without a second one.
+  with a = 0, y/w is c/b.  `geometry._point_on_row` builds each
+  `Fraction` from coprime integers after that small-first gcd over one
+  of the landing's edge rows, without a second one.
 """
 
 from __future__ import annotations
@@ -137,9 +138,9 @@ def _edges_of(board, triple):
 
 def _step(board, move, alongs, triple, edges):
     """The antipode of the boundary point triple = (x, y, w), reduced,
-    on the edge rows `edges`, as (triple, row, edges) of the landing,
-    with row one of its edge rows; None when the particle stops there.
-    alongs is _alongs(board, move), computed once per walk.
+    on the edge rows `edges`, as (triple, edges) of the landing; None
+    when the particle stops there.  alongs is _alongs(board, move),
+    computed once per walk.
     """
 
     entering = alongs[edges[0]]
@@ -175,7 +176,7 @@ def _step(board, move, alongs, triple, edges):
     if nw < 0:
         g = -g
     landing = (nx // g, ny // g, nw // g)
-    return landing, rows[ties[0]], _boundary_edges(ties, len(rows), landing)
+    return landing, _boundary_edges(ties, len(rows), landing)
 
 
 def antipode(board, move, point):
@@ -190,7 +191,37 @@ def antipode(board, move, point):
     triple = _homogeneous(point)
     landing = _step(board, move, _alongs(board, move), triple,
                     _edges_of(board, triple))
-    return point if landing is None else _point_on_row(*landing[:2])
+    return (point if landing is None
+            else _point_on_row(landing[0], board.rows[landing[1][0]]))
+
+
+def _walk(board, rated, origin, edges, first, within):
+    """Step from the boundary triple origin on the edge rows `edges`,
+    `first` pending, alternating move types, and return the landings
+    (triple, edges) kept and the end: "stopped" where the particle
+    stops, "closed" back on origin with `first` pending, or "left" where
+    within(kept, triple) refuses a landing.  A revisit that does not
+    close the cycle raises InternalInvariantError."""
+
+    kept, seen, state, move_type = [], {origin}, (origin, edges), first
+    while True:
+        landing = _step(board, *rated[move_type - 1], *state)
+        if landing is None:
+            return kept, "stopped"
+        move_type = other(move_type)
+        triple = landing[0]
+        if triple == origin and move_type == first:
+            return kept, "closed"
+        if triple in seen:
+            raise InternalInvariantError(
+                f"the walk from {_from_homogeneous(*origin)} revisits a "
+                "point without closing a cycle"
+            )
+        if not within(kept, triple):
+            return kept, "left"
+        kept.append(landing)
+        seen.add(triple)
+        state = landing
 
 
 def trace(board, moves, start, first_move_type, max_points=10_000):
@@ -209,40 +240,17 @@ def trace(board, moves, start, first_move_type, max_points=10_000):
     start = _as_point(start)
     origin = _homogeneous(start)
     rated = [(move, _alongs(board, move)) for move in moves]
-    current = start_at = (origin, _edges_of(board, origin))
-    landings = []  # (triple, row) after the start
-    seen = {origin}
-    move_type = first_move_type
-    forward_stopped = cyclic = False
-    while True:
-        landing = _step(board, *rated[move_type - 1], *current)
-        if landing is None:
-            forward_stopped = True
-            break
-        triple, row, edges = landing
-        next_type = other(move_type)
-        if triple == origin and next_type == first_move_type:
-            cyclic = True
-            break
-        if triple in seen:
-            raise InternalInvariantError(
-                f"position {_from_homogeneous(*triple)} revisited without "
-                "closing a cycle"
-            )
-        if len(landings) + 1 == max_points:
-            break
-        landings.append((triple, row))
-        seen.add(triple)
-        current = (triple, edges)
-        move_type = next_type
-    points = [start, *(_point_on_row(*landing) for landing in landings)]
-
-    if cyclic:
+    edges = _edges_of(board, origin)
+    kept, end = _walk(board, rated, origin, edges, first_move_type,
+                      lambda landed, _: len(landed) + 1 < max_points)
+    points = [start, *(_point_on_row(triple, board.rows[on[0]])
+                       for triple, on in kept)]
+    if end == "closed":
         status = TrajectoryStatus.CYCLIC
     else:
         backward = rated[other(first_move_type) - 1]
-        backward_open = _step(board, *backward, *start_at) is not None
-        status = _END_STATUS[(backward_open, not forward_stopped)]
+        backward_open = _step(board, *backward, origin, edges) is not None
+        status = _END_STATUS[(backward_open, end == "left")]
     return Trajectory(tuple(points), first_move_type, status)
 
 
@@ -312,30 +320,19 @@ def partition_into_trajectories(board, moves, points):
         if h in done:
             continue
         # h is the smallest point of its component
-        start = (h, _edges_of(board, h))
+        edges = _edges_of(board, h)
         runs = []  # (end, its leaving type back along the run, open, run)
         for first in (1, 2):
-            run, current, move_type = [h], start, first
-            while True:
-                landing = _step(board, *rated[move_type - 1], *current)
-                move_type = other(move_type)
-                if landing is None or landing[0] not in pool:
-                    break
-                if landing[0] == h and first == move_type == 1:
-                    break  # a cycle, closed back on h
-                if len(run) == len(pool):
-                    raise InternalInvariantError(
-                        f"the walk from {pool[h]} revisits a point "
-                        "without closing a cycle"
-                    )
-                run.append(landing[0])
-                current = (landing[0], landing[2])
+            kept, end = _walk(board, rated, h, edges, first,
+                              lambda _, triple: triple in pool)
+            run = (h, *(triple for triple, _ in kept))
             done.update(run)
             walked = tuple(map(pool.get, run))
-            if landing is not None and landing[0] == h:
-                out.append(Trajectory(walked, 1, TrajectoryStatus.CYCLIC))
+            if end == "closed":
+                out.append(Trajectory(walked, first, TrajectoryStatus.CYCLIC))
                 break
-            runs.append((walked[-1], move_type, landing is not None, walked))
+            back_type = first if len(kept) % 2 else other(first)
+            runs.append((walked[-1], back_type, end == "left", walked))
         else:
             # the path runs from the smaller end through h to the other
             (_, first_type, back_open, back), (*_, ahead_open, ahead) = (

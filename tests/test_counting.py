@@ -22,7 +22,7 @@ from riderflow import (
     fit,
     minimal_period,
 )
-from riderflow.counting import _flat_table
+from riderflow.counting import _LineGraph, _flat_table
 
 from conftest import MOVE_PAIRS, canonical_move_pairs, move_pairs
 from oracles import (
@@ -232,6 +232,20 @@ def test_more_pieces_than_lines_count_zero_at_once():
     assert done.stdout == "0\n"
     assert count(BISHOP, 5, 3) == backtrack_count(BISHOP, 5, 3) == 0
     assert count(BISHOP, 4, 3) == backtrack_count(BISHOP, 4, 3)
+
+
+@pytest.mark.parametrize("c, n_max", [(7, 9), (99999999999999, 5)])
+@pytest.mark.parametrize("q", [2, 3])
+def test_a_long_move_counts_like_the_backtracker(c, n_max, q):
+    # from n = c on, no two cells share a line of the move (c, 1)
+    moves = (canonical_move(c, 1), canonical_move(1, 2))
+    for n in range(1, n_max + 1):
+        assert count(moves, q, n) == backtrack_count(moves, q, n), n
+
+
+def test_line_keys_grow_with_the_board_not_the_move():
+    graph = _LineGraph((canonical_move(10**5, 1), canonical_move(1, 2)), 3)
+    assert all(len(side) <= 2 * 3 * 3 for side in graph.degrees)
 
 
 def test_attack_masks_symmetric():

@@ -612,9 +612,33 @@ def test_partition_walk_that_revisits_a_point_raises(monkeypatch, square):
     following = {triples[h]: a, triples[a]: b, triples[b]: a}
 
     def looping_step(board, move, alongs, triple, edges):
-        return triples[following[triple]], board.rows[0], edges
+        return triples[following[triple]], edges
 
     monkeypatch.setattr(dynamics, "_step", looping_step)
     with pytest.raises(InternalInvariantError,
                        match="revisits a point without closing a cycle"):
         partition_into_trajectories(square, INCLINED, [h, a, b])
+
+
+def test_trace_that_revisits_a_point_raises(monkeypatch, square):
+    # the same broken step as above, walked by trace
+    h, a, b = (Point2(F(k, 4), 0) for k in (1, 2, 3))
+    triples = {p: (p.x.numerator, 0, p.x.denominator) for p in (h, a, b)}
+    following = {triples[h]: a, triples[a]: b, triples[b]: a}
+
+    def looping_step(board, move, alongs, triple, edges):
+        return triples[following[triple]], edges
+
+    monkeypatch.setattr(dynamics, "_step", looping_step)
+    with pytest.raises(InternalInvariantError, match=(
+            r"the walk from .* revisits a point without closing a cycle")):
+        trace(square, INCLINED, h, 1)
+
+
+def test_trace_steps_once_per_point(monkeypatch, square):
+    # 299 kept steps, the refused 300th landing and the backward end's
+    # status, from one locate of the start
+    step_calls, locate_calls = _count_steps_and_locates(monkeypatch)
+    window = trace(square, INCLINED, (0, F(1, 3)), 1, 300)
+    assert window.status is TrajectoryStatus.TRUNCATED
+    assert (len(step_calls), len(locate_calls)) == (301, 1)
