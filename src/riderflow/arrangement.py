@@ -27,6 +27,7 @@ from .geometry import (
     _as_point,
     _from_homogeneous,
     _homogeneous,
+    _require_int,
 )
 from .dynamics import TrajectoryStatus, _alongs, other, trace
 
@@ -220,6 +221,7 @@ def enumerate_rigid_cycles(board, moves, max_length):
     a negative max_length; lengths below 4 hold no cycle.
     """
 
+    _require_int(max_length, "max_length")
     if max_length < 0:
         raise ValueError(f"max_length must be nonnegative, got {max_length}")
     rows = board.rows

@@ -35,7 +35,7 @@ from itertools import permutations
 from math import factorial, prod
 
 from .arrangement import solve_square_system
-from .geometry import Board, InternalInvariantError, Move
+from .geometry import Board, InternalInvariantError, Move, _require_int
 from .denominator import denominator
 
 
@@ -274,6 +274,8 @@ def _peel(edges, weight, graph):
 
 def count(moves, q, n):
     """Number of ways to place q mutually nonattacking riders."""
+    _require_int(q, "q")
+    _require_int(n, "n")
     if q < 0:
         raise ValueError(f"q must be nonnegative, got {q}")
     if n < 0:
@@ -298,6 +300,7 @@ def count(moves, q, n):
 
 
 def count_series(moves, q, n_max):
+    _require_int(n_max, "n_max")
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
     return CountSeries(

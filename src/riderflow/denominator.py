@@ -31,7 +31,9 @@ from .geometry import (
     LocationKind,
     Point2,
     _as_point,
-    _from_homogeneous,
+    _homogeneous,
+    _point_on_row,
+    _require_int,
     line_through,
     point_denominator,
 )
@@ -89,19 +91,35 @@ def _chords(segments):
 
 
 def _crossing(board, chord_a, chord_b):
-    """The interior point where two chords cross, or None.
+    """Where two chords cross inside the board: (triple, Point2) or None.
 
-    Chords of one move type are parallel.  (`trace` stops on a move
-    along an edge, so no chord lies on an edge line: a chord without its
-    ends is interior.)
+    Chords of one move type are parallel.  Cramer's rule on the two
+    integer rows gives the crossing as (x, y, det) with det > 0, and the
+    crossing is interior when its integer height a·x + b·y - c·det over
+    every board row is positive; a pair that fails builds no Fraction.
+    (`trace` stops on a move along an edge, so no chord lies on an edge
+    line: a chord without its ends is interior.)  The gcd-reduced triple
+    keys the report; `Board.interior_contains` checks its Point2.
     """
     a1, b1, c1, t1 = chord_a
     a2, b2, c2, t2 = chord_b
     if t1 == t2:
         return None
-    det = a1 * b2 - a2 * b1  # Cramer's rule on the two integer rows
-    pt = _from_homogeneous(c1 * b2 - c2 * b1, a1 * c2 - a2 * c1, det)
-    return pt if board.interior_contains(pt) else None
+    det = a1 * b2 - a2 * b1
+    x, y = c1 * b2 - c2 * b1, a1 * c2 - a2 * c1
+    if det < 0:
+        x, y, det = -x, -y, -det
+    for a, b, c in board.rows:
+        if a * x + b * y <= c * det:
+            return None
+    g = gcd(x, y, det)
+    triple = (x // g, y // g, det // g)
+    pt = _point_on_row(triple, (a1, b1, c1))
+    if not board.interior_contains(pt):
+        raise InternalInvariantError(
+            f"the crossing {pt} has positive heights but is not interior"
+        )
+    return triple, pt
 
 
 def crossing_points(board, a, b=None):
@@ -118,9 +136,9 @@ def crossing_points(board, a, b=None):
         chords_b = _chords(b.segments())
         indices = product(range(len(chords_a)), range(len(chords_b)))
     return [
-        CrossingPoint(pt, i, j)
+        CrossingPoint(found[1], i, j)
         for i, j in indices
-        if (pt := _crossing(board, chords_a[i], chords_b[j])) is not None
+        if (found := _crossing(board, chords_a[i], chords_b[j])) is not None
     ]
 
 
@@ -197,16 +215,18 @@ def _corner_flows(windows):
 
 def denominator(board, moves, q):
     """Exact denominator report for q riders on the board."""
+    _require_int(q, "q")
     if q < 0:
         raise ValueError(f"q must be nonnegative, got {q}")
     m1, m2 = moves
     if m1.c * m2.d == m1.d * m2.c:
         raise ValueError("a denominator needs two nonparallel moves")
-    contributions = {}
+    contributions = {}  # (category, reduced triple) -> Point2
 
-    def add(category, point):
-        if point is not None:  # None: two chords that do not cross
-            contributions[(category, point)] = point_denominator(point)
+    def add(category, found):
+        if found is not None:  # None: two chords that do not cross
+            triple, point = found
+            contributions[(category, triple)] = point
 
     flows = []
     windows = cycles = ()
@@ -215,12 +235,12 @@ def denominator(board, moves, q):
         for flow, points in _corner_flows(windows):
             flows.append(flow)
             for p in points:
-                add("corner-trajectory-point", p)
+                add("corner-trajectory-point", (_homogeneous(p), p))
         cycles = tuple(enumerate_rigid_cycles(board, moves, q))
         for traj in cycles:
             flows.append(_cycle_flow(traj, anchored=False))
             for p in traj.points:
-                add("rigid-cycle-point", p)
+                add("rigid-cycle-point", (_homogeneous(p), p))
 
     budget = q - 1
     for flow in flows:
@@ -236,12 +256,17 @@ def denominator(board, moves, q):
                 if cost_a + cost_b <= budget:
                     add("cross", _crossing(board, ca, cb))
 
-    value = 1
-    for den in contributions.values():
-        value = lcm(value, den)
-    ordered = sorted(contributions.items(),  # (category, x, y) is unique
-                     key=lambda kv: (kv[0][0], kv[0][1].x, kv[0][1].y))
-    report = tuple(Contribution(cat, pt, den) for (cat, pt), den in ordered)
+    # a triple's w is its point's denominator, and each w divides the
+    # value, so (x·(value/w), y·(value/w)) orders the points as (x, y)
+    value = lcm(*(w for _, (_, _, w) in contributions))
+
+    def order(key):
+        category, (x, y, w) = key
+        scale = value // w
+        return category, x * scale, y * scale
+
+    report = tuple(Contribution(cat, contributions[cat, t], t[2])
+                   for cat, t in sorted(contributions, key=order))
     return DenominatorReport(q, value, report, cycles, windows)
 
 
@@ -388,6 +413,7 @@ def vertex_oracle(board, moves, q):
     (x/w, y/w) per piece is in the board when `Board._locate` finds it.
     """
 
+    _require_int(q, "q")
     if q > 3:
         raise ValueError("the oracle enumerates all vertex supports; q <= 3")
     if q <= 0:

@@ -59,6 +59,7 @@ from .geometry import (
     _from_homogeneous,
     _homogeneous,
     _point_on_row,
+    _require_int,
     format_point,
 )
 
@@ -235,6 +236,7 @@ def trace(board, moves, start, first_move_type, max_points=10_000):
 
     if first_move_type not in (1, 2):
         raise ValueError(f"move type must be 1 or 2, got {first_move_type}")
+    _require_int(max_points, "max_points")
     if max_points < 1:
         raise ValueError(f"max_points must be at least 1, got {max_points}")
     start = _as_point(start)

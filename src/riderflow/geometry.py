@@ -74,6 +74,12 @@ class Point2:
         return f"({self.x}, {self.y})"
 
 
+def _require_int(value, name):
+    """Refuse a size that is not an int (a bool is not a size either)."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{name} must be an int, got {value!r}")
+
+
 def _as_point(point):
     """A Point2 as is, or the Point2 of an (x, y) pair."""
     return point if isinstance(point, Point2) else Point2(*point)

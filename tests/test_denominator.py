@@ -26,15 +26,19 @@ from riderflow import (
     closed_form_inclined,
     closed_form_mirror,
     closed_form_orthogonal,
+    corner_trajectories,
+    count,
+    count_series,
     crossing_points,
     denominator,
     enumerate_rigid_cycles,
     inclined_crossing_point,
     matrix_rank,
+    point_denominator,
     trace,
     vertex_oracle,
 )
-from riderflow.geometry import format_point
+from riderflow.geometry import Edge, format_point
 
 import oracles
 from conftest import (
@@ -144,6 +148,57 @@ def test_denominator_trivial_cases(square):
 def test_denominator_rejects_a_negative_q(square):
     with pytest.raises(ValueError, match="q must be nonnegative"):
         denominator(square, INCLINED, -1)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda b: denominator(b, INCLINED, 2.5), "q"),
+    (lambda b: denominator(b, INCLINED, F(3)), "q"),
+    (lambda b: vertex_oracle(b, INCLINED, 2.0), "q"),
+    (lambda b: enumerate_rigid_cycles(b, ORTH, 5.5), "max_length"),
+    (lambda b: trace(b, INCLINED, (0, 0), 1, max_points=2.5), "max_points"),
+    (lambda b: list(corner_trajectories(b, INCLINED, 2.5)), "max_points"),
+    (lambda b: count(INCLINED, 2.0, 3), "q"),
+    (lambda b: count(INCLINED, 2, 3.5), "n"),
+    (lambda b: count(INCLINED, 2, True), "n"),
+    (lambda b: count_series(INCLINED, 2, 2.5), "n_max"),
+])
+def test_sizes_must_be_ints(square, call, name):
+    # a float size must not run: denominator(.., 2.5) would search part
+    # way between q = 2 and q = 3 and report a value between theirs
+    with pytest.raises(TypeError, match=f"^{name} must be an int"):
+        call(square)
+
+
+def test_only_interior_crossings_build_a_point(square, monkeypatch):
+    # integer heights decide every crossing, so Edge.side_of runs only
+    # to check an interior one, once per board row
+    calls = []
+    side_of = Edge.side_of
+
+    def counted(edge, point):
+        calls.append(point)
+        return side_of(edge, point)
+
+    monkeypatch.setattr(Edge, "side_of", counted)
+    report = denominator(square, INCLINED, 10)
+    crossings = {c.point for c in report.contributions
+                 if c.category in ("cross", "self-cross")}
+    assert len(crossings) == 8 and set(calls) == crossings
+    assert len(calls) == len(square.rows) * len(crossings) == 32
+    calls.clear()
+    denominator(square, ORTH, 3)  # the call perfbench's tracing test pins
+    assert len(calls) == 16
+
+
+@given(convex_boards(), move_pairs(), st.integers(0, 4))
+@settings(max_examples=40, deadline=None)
+def test_report_is_in_point_order_with_point_denominators(board, moves, q):
+    report = denominator(board, moves, q)
+    keys = [(c.category, c.point.x, c.point.y) for c in report.contributions]
+    assert keys == sorted(set(keys))
+    assert all(c.denominator == point_denominator(c.point)
+               for c in report.contributions)
+    assert report.value == lcm(*(c.denominator for c in report.contributions))
 
 
 def test_denominator_rejects_parallel_moves(square):
