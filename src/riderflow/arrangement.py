@@ -222,8 +222,6 @@ def enumerate_rigid_cycles(board, moves, max_length):
     """
 
     _require_int(max_length, "max_length")
-    if max_length < 0:
-        raise ValueError(f"max_length must be nonnegative, got {max_length}")
     rows = board.rows
     n = len(rows)
     rated = [(move, _alongs(board, move)) for move in moves]

@@ -35,7 +35,8 @@ from itertools import permutations
 from math import factorial, prod
 
 from .arrangement import solve_square_system
-from .geometry import Board, InternalInvariantError, Move, _require_int
+from .geometry import (Board, InternalInvariantError, Move, _require_int,
+                       _require_move_pair)
 from .denominator import denominator
 
 
@@ -180,8 +181,6 @@ class _LineGraph:
     """
 
     def __init__(self, moves, n):
-        if len(moves) != 2 or moves[0].c * moves[1].d == moves[0].d * moves[1].c:
-            raise ValueError("counting needs two nonparallel moves")
         moves = [m if max(abs(m.c), abs(m.d)) < n else Move(1, n)
                  for m in moves]
         lows = []
@@ -276,10 +275,7 @@ def count(moves, q, n):
     """Number of ways to place q mutually nonattacking riders."""
     _require_int(q, "q")
     _require_int(n, "n")
-    if q < 0:
-        raise ValueError(f"q must be nonnegative, got {q}")
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
+    _require_move_pair(moves)
     graph = _LineGraph(moves, n)
     if q > min(sum(map(bool, lines)) for lines in graph.degrees):
         return 0  # two of the pieces would share a line
@@ -301,8 +297,6 @@ def count(moves, q, n):
 
 def count_series(moves, q, n_max):
     _require_int(n_max, "n_max")
-    if n_max < 0:
-        raise ValueError(f"n_max must be nonnegative, got {n_max}")
     return CountSeries(
         tuple(moves), q, tuple(count(moves, q, n) for n in range(n_max + 1))
     )
@@ -342,11 +336,11 @@ def fit(series, period):
     not governed by the counting function).  Each residue class needs
     degree + 2 samples; _fits checks every one, and any mismatch refutes
     the period.  Each class of an accepted period is interpolated
-    through its first degree + 1 samples.
+    through its first degree + 1 samples.  Refuses a period that is not
+    an int (TypeError) or is below 1 (ValueError).
     """
 
-    if period < 1:
-        raise ValueError(f"period must be positive, got {period}")
+    _require_int(period, "period", 1)
     degree = 2 * series.q
     n_max = len(series.values) - 1
     needed = period * (degree + 2)

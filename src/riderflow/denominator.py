@@ -34,6 +34,7 @@ from .geometry import (
     _homogeneous,
     _point_on_row,
     _require_int,
+    _require_move_pair,
     line_through,
     point_denominator,
 )
@@ -216,11 +217,7 @@ def _corner_flows(windows):
 def denominator(board, moves, q):
     """Exact denominator report for q riders on the board."""
     _require_int(q, "q")
-    if q < 0:
-        raise ValueError(f"q must be nonnegative, got {q}")
-    m1, m2 = moves
-    if m1.c * m2.d == m1.d * m2.c:
-        raise ValueError("a denominator needs two nonparallel moves")
+    _require_move_pair(moves)
     contributions = {}  # (category, reduced triple) -> Point2
 
     def add(category, found):
@@ -300,10 +297,10 @@ def closed_form_inclined(moves, q):
 
     The corner window's points and crossings form families c·rho^k, one
     per index parity.  A prime's exponent in c·rho^k is linear in k, so
-    a family's lcm is the lcm of its first and last members.
+    a family's lcm is the lcm of its first and last members.  Refuses a
+    q that is not an int (TypeError) or is negative (ValueError).
     """
-    if q < 0:
-        raise ValueError("q must be nonnegative")
+    _require_int(q, "q")
     m1, m2 = _sorted_by_slope(moves)
     rho = Fraction(m1.d * m2.c, m1.c * m2.d)
     dens = []
@@ -323,9 +320,9 @@ def closed_form_inclined(moves, q):
 
 
 def inclined_crossing_point(moves, index):
-    """The index-th interior crossing point of the corner window family."""
-    if index < 1:
-        raise ValueError("crossing index starts at 1")
+    """The index-th interior crossing point of the corner window family.
+    Refuses an index that is not an int (TypeError) or is below 1."""
+    _require_int(index, "index", 1)
     m1, m2 = _sorted_by_slope(moves)
     big_d = m1.c * m2.d - m2.c * m1.d
     rho = Fraction(m1.d * m2.c, m1.c * m2.d)
@@ -345,12 +342,11 @@ def closed_form_orthogonal(m, q):
 
     Undercounts for odd m at q >= 6: there the rigid 4-cycle crosses the
     corner windows at points such as (9/40, 3/40) for m = 3, and
-    `denominator` reports twice this value.
+    `denominator` reports twice this value.  Refuses an m or q that is
+    not an int (TypeError), m < 2 and q < 0 (ValueError).
     """
-    if m < 2:
-        raise ValueError("orthogonal family needs m >= 2")
-    if q < 0:
-        raise ValueError("q must be nonnegative")
+    _require_int(m, "m", 2)
+    _require_int(q, "q")
     if q <= 1:
         return 1
     if q == 2:
@@ -361,13 +357,13 @@ def closed_form_orthogonal(m, q):
 
 
 def closed_form_mirror(c, d, q):
-    """Denominator for moves (c, d) and (c, -d) on the square."""
+    """Denominator for moves (c, d) and (c, -d) on the square.  Refuses
+    a q that is not an int (TypeError) or is negative (ValueError)."""
     c, d = abs(c), abs(d)
     if c == 0 or d == 0 or gcd(c, d) != 1:
         raise ValueError(f"({c}, {d}) is not a mirror-pair generator")
     lo, hi = min(c, d), max(c, d)
-    if q < 0:
-        raise ValueError("q must be nonnegative")
+    _require_int(q, "q")
     if q <= 1:
         return 1
     if q == 2:
@@ -414,10 +410,9 @@ def vertex_oracle(board, moves, q):
     """
 
     _require_int(q, "q")
+    _require_move_pair(moves)
     if q > 3:
         raise ValueError("the oracle enumerates all vertex supports; q <= 3")
-    if q <= 0:
-        return 1
     dim = 2 * q
     rows = [[*_fixation_normal(dim, i, row), row[2]]
             for i in range(q) for row in board.rows]

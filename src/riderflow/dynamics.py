@@ -60,6 +60,7 @@ from .geometry import (
     _homogeneous,
     _point_on_row,
     _require_int,
+    _require_move_type,
     format_point,
 )
 
@@ -234,11 +235,8 @@ def trace(board, moves, start, first_move_type, max_points=10_000):
     InternalInvariantError.
     """
 
-    if first_move_type not in (1, 2):
-        raise ValueError(f"move type must be 1 or 2, got {first_move_type}")
-    _require_int(max_points, "max_points")
-    if max_points < 1:
-        raise ValueError(f"max_points must be at least 1, got {max_points}")
+    _require_move_type(first_move_type)
+    _require_int(max_points, "max_points", 1)
     start = _as_point(start)
     origin = _homogeneous(start)
     rated = [(move, _alongs(board, move)) for move in moves]
@@ -259,14 +257,14 @@ def trace(board, moves, start, first_move_type, max_points=10_000):
 def corner_trajectories(board, moves, max_points=10_000):
     """Trace from every corner with each move type first.
 
-    Yields 2n trajectories for an n-corner board, one trace at a time,
-    in corner order with move type 1 first; coinciding ones are retained
-    so callers can index the list by (corner, first type).
+    Returns an iterator of 2n trajectories for an n-corner board, traced
+    one at a time, in corner order with move type 1 first; coinciding
+    ones are retained so callers can index the list by (corner, first type).
     """
 
-    for corner in board.corners:
-        for move_type in (1, 2):
-            yield trace(board, moves, corner, move_type, max_points)
+    _require_int(max_points, "max_points", 1)
+    return (trace(board, moves, corner, move_type, max_points)
+            for corner in board.corners for move_type in (1, 2))
 
 
 def augment(board, moves, trajectory):

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from itertools import cycle, islice
 from math import copysign, gcd, hypot, inf
 
+from .geometry import _require_int, _require_move_type
+
 # A step shorter than this halts the path, and a landing this close to a
 # corner stops it there.
 TOL = 1e-9
@@ -100,10 +102,8 @@ def simulate_float(board, slopes, start, first_move_type=1, steps=1000):
     those of stepping to the end.
     """
 
-    if steps < 0:
-        raise ValueError(f"steps must be nonnegative, got {steps}")
-    if first_move_type not in (1, 2):
-        raise ValueError(f"move type must be 1 or 2, got {first_move_type}")
+    _require_int(steps, "steps")
+    _require_move_type(first_move_type)
     # each row over gcd(a, b), so (a, b) is primitive, as floats
     edges = []
     for a, b, c in board.rows:

@@ -74,10 +74,26 @@ class Point2:
         return f"({self.x}, {self.y})"
 
 
-def _require_int(value, name):
-    """Refuse a size that is not an int (a bool is not a size either)."""
+def _require_int(value, name, least=0):
+    """A size or index: an int, not a bool, of at least `least`."""
     if not isinstance(value, int) or isinstance(value, bool):
         raise TypeError(f"{name} must be an int, got {value!r}")
+    if value < least:
+        bound = f"at least {least}" if least else "nonnegative"
+        raise ValueError(f"{name} must be {bound}, got {value}")
+    return value
+
+
+def _require_move_type(value):
+    """A move type: the int 1 or 2."""
+    if type(value) is not int or value not in (1, 2):
+        raise ValueError(f"move type must be 1 or 2, got {value!r}")
+
+
+def _require_move_pair(moves):
+    """Two nonparallel moves."""
+    if len(moves) != 2 or moves[0].c * moves[1].d == moves[0].d * moves[1].c:
+        raise ValueError(f"need two nonparallel moves, got {moves}")
 
 
 def _as_point(point):
@@ -212,13 +228,10 @@ class Move:
 
 def canonical_move(c, d):
     """Reduce (c, d) to the canonical move on the same line."""
-    if c == 0 and d == 0:
-        raise ZeroMove("move (0, 0)")
-    g = gcd(c, d)
-    c, d = c // g, d // g
+    g = gcd(c, d) or 1  # (0, 0) goes on to Move, which refuses it
     if c < 0 or (c == 0 and d < 0):
-        c, d = -c, -d
-    return Move(c, d)
+        g = -g
+    return Move(c // g, d // g)
 
 
 def line_through(p, q):

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import os
 import subprocess
 import sys
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import riderflow
 from riderflow import (
     Board,
     Point2,
@@ -26,15 +28,18 @@ from riderflow import (
     closed_form_inclined,
     closed_form_mirror,
     closed_form_orthogonal,
+    conjecture_report,
     corner_trajectories,
     count,
     count_series,
     crossing_points,
     denominator,
     enumerate_rigid_cycles,
+    fit,
     inclined_crossing_point,
     matrix_rank,
     point_denominator,
+    simulate_float,
     trace,
     vertex_oracle,
 )
@@ -150,23 +155,113 @@ def test_denominator_rejects_a_negative_q(square):
         denominator(square, INCLINED, -1)
 
 
-@pytest.mark.parametrize("call, name", [
-    (lambda b: denominator(b, INCLINED, 2.5), "q"),
-    (lambda b: denominator(b, INCLINED, F(3)), "q"),
-    (lambda b: vertex_oracle(b, INCLINED, 2.0), "q"),
-    (lambda b: enumerate_rigid_cycles(b, ORTH, 5.5), "max_length"),
-    (lambda b: trace(b, INCLINED, (0, 0), 1, max_points=2.5), "max_points"),
-    (lambda b: list(corner_trajectories(b, INCLINED, 2.5)), "max_points"),
-    (lambda b: count(INCLINED, 2.0, 3), "q"),
-    (lambda b: count(INCLINED, 2, 3.5), "n"),
-    (lambda b: count(INCLINED, 2, True), "n"),
-    (lambda b: count_series(INCLINED, 2, 2.5), "n_max"),
-])
-def test_sizes_must_be_ints(square, call, name):
+def _rule(function, parameter, call, error, message, case):
+    return pytest.param(function, parameter, call, error, message,
+                        id=f"{function}-{parameter}-{case}")
+
+
+# Refusals by the argument rules of the public API, at least one row
+# per public (function, parameter) they cover: a size or index is an
+# int (not a bool) at or above its bound, a move type is the int 1 or
+# 2, and a move pair is two nonparallel moves.
+ARGUMENT_RULES = [
+    _rule("denominator", "q", lambda b: denominator(b, INCLINED, 2.5),
+          TypeError, "q must be an int", "2.5"),
+    _rule("denominator", "q", lambda b: denominator(b, INCLINED, F(3)),
+          TypeError, "q must be an int", "Fraction"),
+    _rule("vertex_oracle", "q", lambda b: vertex_oracle(b, INCLINED, 2.0),
+          TypeError, "q must be an int", "2.0"),
+    _rule("vertex_oracle", "q", lambda b: vertex_oracle(b, INCLINED, -1),
+          ValueError, "q must be nonnegative, got -1", "-1"),
+    _rule("vertex_oracle", "moves",
+          lambda b: vertex_oracle(b, (INCLINED[0], INCLINED[0]), 2),
+          ValueError, "need two nonparallel moves", "parallel"),
+    _rule("enumerate_rigid_cycles", "max_length",
+          lambda b: enumerate_rigid_cycles(b, ORTH, 5.5),
+          TypeError, "max_length must be an int", "5.5"),
+    _rule("trace", "max_points",
+          lambda b: trace(b, INCLINED, (0, 0), 1, max_points=2.5),
+          TypeError, "max_points must be an int", "2.5"),
+    _rule("trace", "first_move_type",
+          lambda b: trace(b, INCLINED, (0, F(1, 3)), True, 3),
+          ValueError, "move type must be 1 or 2, got True", "True"),
+    _rule("trace", "first_move_type",
+          lambda b: trace(b, INCLINED, (0, F(1, 3)), 1.0, 3),
+          ValueError, "move type must be 1 or 2, got 1.0", "1.0"),
+    # refused at the call, before anything is traced
+    _rule("corner_trajectories", "max_points",
+          lambda b: corner_trajectories(b, INCLINED, 2.5),
+          TypeError, "max_points must be an int", "2.5"),
+    _rule("count", "q", lambda b: count(INCLINED, 2.0, 3),
+          TypeError, "q must be an int", "2.0"),
+    _rule("count", "n", lambda b: count(INCLINED, 2, 3.5),
+          TypeError, "n must be an int", "3.5"),
+    _rule("count", "n", lambda b: count(INCLINED, 2, True),
+          TypeError, "n must be an int", "True"),
+    _rule("count_series", "q", lambda b: count_series(INCLINED, 2.5, 3),
+          TypeError, "q must be an int", "2.5"),
+    _rule("count_series", "n_max", lambda b: count_series(INCLINED, 2, 2.5),
+          TypeError, "n_max must be an int", "2.5"),
+    _rule("conjecture_report", "q",
+          lambda b: conjecture_report(INCLINED, 2.5, 8),
+          TypeError, "q must be an int", "2.5"),
+    _rule("conjecture_report", "n_max",
+          lambda b: conjecture_report(INCLINED, 1, 8.0),
+          TypeError, "n_max must be an int", "8.0"),
+    _rule("fit", "period", lambda b: fit(count_series(INCLINED, 1, 6), True),
+          TypeError, "period must be an int", "True"),
+    _rule("closed_form_inclined", "q",
+          lambda b: closed_form_inclined(INCLINED, 3.5),
+          TypeError, "q must be an int", "3.5"),
+    _rule("closed_form_mirror", "q", lambda b: closed_form_mirror(2, 1, 2.5),
+          TypeError, "q must be an int", "2.5"),
+    _rule("closed_form_orthogonal", "q",
+          lambda b: closed_form_orthogonal(2, 4.5),
+          TypeError, "q must be an int", "4.5"),
+    _rule("closed_form_orthogonal", "m",
+          lambda b: closed_form_orthogonal(4.5, 3),
+          TypeError, "m must be an int", "4.5"),
+    _rule("inclined_crossing_point", "index",
+          lambda b: inclined_crossing_point(INCLINED, 1.5),
+          TypeError, "index must be an int", "1.5"),
+    _rule("simulate_float", "steps",
+          lambda b: simulate_float(b, (0.5, 2.0), (0.0, 0.0), steps=True),
+          TypeError, "steps must be an int", "True"),
+    _rule("simulate_float", "first_move_type",
+          lambda b: simulate_float(b, (0.5, 2.0), (0.0, 0.0), True),
+          ValueError, "move type must be 1 or 2, got True", "True"),
+    _rule("simulate_float", "first_move_type",
+          lambda b: simulate_float(b, (0.5, 2.0), (0.0, 0.0), 1.0),
+          ValueError, "move type must be 1 or 2, got 1.0", "1.0"),
+]
+
+
+@pytest.mark.parametrize("function, parameter, call, error, message",
+                         ARGUMENT_RULES)
+def test_sizes_must_be_ints(square, function, parameter, call, error,
+                            message):
     # a float size must not run: denominator(.., 2.5) would search part
     # way between q = 2 and q = 3 and report a value between theirs
-    with pytest.raises(TypeError, match=f"^{name} must be an int"):
+    with pytest.raises(error, match=f"^{message}"):
         call(square)
+
+
+RULED_PARAMETERS = {"q", "n", "n_max", "m", "index", "period", "steps",
+                    "max_points", "max_length", "first_move_type"}
+
+
+def test_every_ruled_parameter_has_a_rule_row():
+    # a new public entry point with a size or move-type parameter must
+    # join ARGUMENT_RULES, and so must show that it applies the rule
+    public = set()
+    for name in riderflow.__all__:
+        function = getattr(riderflow, name)
+        if inspect.isfunction(function):
+            parameters = inspect.signature(function).parameters
+            public.update((name, parameter) for parameter in parameters
+                          if parameter in RULED_PARAMETERS)
+    rows = {(row.values[0], row.values[1]) for row in ARGUMENT_RULES}
+    assert {row for row in rows if row[1] in RULED_PARAMETERS} == public
 
 
 def test_only_interior_crossings_build_a_point(square, monkeypatch):
@@ -387,7 +482,7 @@ def test_closed_form_orthogonal_values():
 
 
 def test_inclined_crossing_index_starts_at_1():
-    with pytest.raises(ValueError, match="starts at 1"):
+    with pytest.raises(ValueError, match="index must be at least 1"):
         inclined_crossing_point(INCLINED, 0)
 
 
