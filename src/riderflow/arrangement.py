@@ -28,8 +28,9 @@ from .geometry import (
     _from_homogeneous,
     _homogeneous,
     _require_int,
+    _require_move_pair,
 )
-from .dynamics import TrajectoryStatus, _alongs, other, trace
+from .dynamics import TrajectoryStatus, _exits, other, trace
 
 
 class OutsideBoard(ValueError):
@@ -114,6 +115,7 @@ def _fixation_normal(dim, i, row):
 def arrangement_of(board, moves, pieces):
     """Integer normals of the hyperplanes through a configuration: its
     attacks, then each piece's edge fixations."""
+    _require_move_pair(moves)
     pieces = tuple(map(_as_point, pieces))
     dim = 2 * len(pieces)
     normals = [
@@ -140,6 +142,7 @@ class CycleClassification:
 
 def classify_cycle(board, moves, trajectory):
     """Rank test for a cyclical trajectory: full rank 2l means rigid."""
+    _require_move_pair(moves)
     if trajectory.status is not TrajectoryStatus.CYCLIC:
         raise NotCyclic(f"trajectory status is {trajectory.status.value}")
     r = matrix_rank(arrangement_of(board, moves, trajectory.points))
@@ -222,9 +225,10 @@ def enumerate_rigid_cycles(board, moves, max_length):
     """
 
     _require_int(max_length, "max_length")
+    _require_move_pair(moves)
     rows = board.rows
     n = len(rows)
-    rated = [(move, _alongs(board, move)) for move in moves]
+    rated = [(move, _exits(board, move)[0]) for move in moves]
     found = {}
 
     def accept(points):

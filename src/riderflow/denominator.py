@@ -272,6 +272,7 @@ def denominator(board, moves, q):
 
 
 def _sorted_by_slope(moves):
+    _require_move_pair(moves)
     m1, m2 = moves
     for m in (m1, m2):
         if m.c <= 0 or m.d <= 0:
@@ -457,6 +458,7 @@ def characterize_vertex(board, moves, pieces):
     deficiency and no decomposition.
     """
 
+    _require_move_pair(moves)
     pieces = tuple(map(_as_point, pieces))
     rank = matrix_rank(arrangement_of(board, moves, pieces))
     q = len(pieces)

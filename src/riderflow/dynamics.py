@@ -16,12 +16,14 @@ step takes the point's edge rows, one on an edge and two at a corner,
 and returns the landing as (triple, edges), the next walk state; its
 rows are the falling row that the move line reaches first, or the two
 that tie there and meet at a corner.  Heights are computed only over the
-rows whose height falls along the move, told apart by the signs of the
-move's rates over the rows (`_alongs`, once per walk).  Over any other
-row the landing's height is at least the start's, which is ≥ 0, and it
-is 0 only if the move runs along an edge of the start, where the step
-stops before any height is computed.  Points leave this module as
-`Point2`s with `Fraction` coordinates.
+rows whose height falls along the move, the list of them that the
+exit table (`_exits`, one pass per walk) keeps for the sign of the
+entering rate.  Over any other row the landing's height is at least the
+start's, which is ≥ 0, and it is 0 only if the move runs along an edge
+of the start, where the step stops before any height is computed.  The
+table must cost no more than about 1.4 times the rates alone (0.7 µs on
+the square, Python 3.11): `denominator` walks 2n short windows per
+call.  Points leave this module as `Point2`s with `Fraction` coordinates.
 
 Coordinates grow to thousands of bits, but two divisibility facts bound
 every gcd a step needs by small integers of the board's edge rows.
@@ -37,7 +39,7 @@ every gcd a step needs by small integers of the board's edge rows.
   of valuation v_p(h); A·P ≡ h·M mod p^k then forces v_p(h) = v_p(A).
   Hence k ≤ v_p(h·along_e) = v_p(A) + v_p(along_e).  So `_step` takes
   gcd(A·along_e, N_x, N_y, N_w), whose first step is a big integer
-  modulo a small one.
+  modulo a small one, over N or -N, whichever has N_w > 0.
 * A point's coordinates.  Let (x, y, w) lie on the row (a, b, c).  Then
   gcd(x, w) divides b: p^k | x and p^k | w force p^k | b·y, and p does
   not divide y.  Likewise gcd(y, w) divides a.  With b = 0, x/w is c/a;
@@ -60,6 +62,7 @@ from .geometry import (
     _homogeneous,
     _point_on_row,
     _require_int,
+    _require_move_pair,
     _require_move_type,
     format_point,
 )
@@ -122,9 +125,20 @@ class Trajectory:
         return len(self.points)
 
 
-def _alongs(board, move):
-    """The move's rate over each board row (a, b, c): a·mc + b·md."""
-    return [a * move.c + b * move.d for a, b, _ in board.rows]
+def _exits(board, move):
+    """The move's exit table, in one pass over the board rows (a, b, c):
+    the rates a·mc + b·md, and as (i, a, b, c, |rate|) the rows whose
+    height falls along +move and those whose height rises along it."""
+    mc, md = move.c, move.d
+    alongs, falling, rising = [], [], []
+    for i, (a, b, c) in enumerate(board.rows):
+        along = a * mc + b * md
+        alongs.append(along)
+        if along < 0:
+            falling.append((i, a, b, c, -along))
+        elif along:
+            rising.append((i, a, b, c, along))
+    return alongs, falling, rising
 
 
 def _edges_of(board, triple):
@@ -138,47 +152,42 @@ def _edges_of(board, triple):
     return edges
 
 
-def _step(board, move, alongs, triple, edges):
+def _step(board, move, exits, triple, edges):
     """The antipode of the boundary point triple = (x, y, w), reduced,
     on the edge rows `edges`, as (triple, edges) of the landing; None
-    when the particle stops there.  alongs is _alongs(board, move),
-    computed once per walk.
+    when the particle stops there.  exits is _exits(board, move),
+    built once per walk.
     """
 
+    alongs, falling, rising = exits
     entering = alongs[edges[0]]
     for i in edges:
         # a zero rate: the move line lies along an edge; rates of both
         # signs: the line touches the board only at this corner
         if alongs[i] * entering <= 0:
             return None
-    # The line crosses the interior with t of the sign of `entering`.
-    # Height i changes at the rate alongs[i] / w along point + t * move,
-    # so it falls where rate = -alongs[i] * entering > 0, and the line
-    # leaves at the falling row of least h / rate, by cross-multiplying
-    # from 1 / 0, beyond every row; rows that tie meet at a corner.
+    # The line crosses the interior along s·move, s the sign of
+    # `entering`.  It leaves through the row, of those whose height
+    # falls that way, at the least h / r, by cross-multiplying from
+    # 1 / 0, beyond every row; rows that tie meet at a corner.
     x, y, w = triple
-    rows = board.rows
-    exit_h, exit_rate, ties = 1, 0, []
-    for i, along in enumerate(alongs):
-        rate = -along * entering
-        if rate > 0:
-            a, b, c = rows[i]
-            h = a * x + b * y - c * w
-            lhs, rhs = h * exit_rate, exit_h * rate
-            if lhs < rhs:
-                exit_h, exit_rate, ties = h, rate, [i]
-            elif lhs == rhs:
-                ties.append(i)
-    exit_along = alongs[ties[0]]
-    # t = -h / (w * along) at the exit edge
-    nx = x * exit_along - exit_h * move.c
-    ny = y * exit_along - exit_h * move.d
-    nw = w * exit_along
-    g = gcd(exit_along * entering, nx, ny, nw)  # see the module docstring
-    if nw < 0:
-        g = -g
-    landing = (nx // g, ny // g, nw // g)
-    return landing, _boundary_edges(ties, len(rows), landing)
+    exit_h, exit_r, ties = 1, 0, None
+    for i, a, b, c, r in (falling if entering > 0 else rising):
+        h = a * x + b * y - c * w
+        lhs, rhs = h * exit_r, exit_h * r
+        if lhs < rhs:
+            exit_h, exit_r, ties = h, r, [i]
+        elif lhs == rhs:
+            ties.append(i)
+    exit_h = exit_h if entering > 0 else -exit_h
+    # point + s·h / (w·r) · move, scaled by w·r > 0
+    nx = x * exit_r + exit_h * move.c
+    ny = y * exit_r + exit_h * move.d
+    nw = w * exit_r
+    g = gcd(exit_r * entering, nx, ny, nw)  # see the module docstring
+    landing = (nx // g, ny // g, nw // g) if g != 1 else (nx, ny, nw)
+    return landing, (ties if len(ties) == 1
+                     else _boundary_edges(ties, len(alongs), landing))
 
 
 def antipode(board, move, point):
@@ -191,7 +200,7 @@ def antipode(board, move, point):
 
     point = _as_point(point)
     triple = _homogeneous(point)
-    landing = _step(board, move, _alongs(board, move), triple,
+    landing = _step(board, move, _exits(board, move), triple,
                     _edges_of(board, triple))
     return (point if landing is None
             else _point_on_row(landing[0], board.rows[landing[1][0]]))
@@ -205,13 +214,14 @@ def _walk(board, rated, origin, edges, first, within):
     within(kept, triple) refuses a landing.  A revisit that does not
     close the cycle raises InternalInvariantError."""
 
-    kept, seen, state, move_type = [], {origin}, (origin, edges), first
+    kept, seen, triple, move_type = [], {origin}, origin, first
     while True:
-        landing = _step(board, *rated[move_type - 1], *state)
+        move, exits = rated[move_type - 1]
+        landing = _step(board, move, exits, triple, edges)
         if landing is None:
             return kept, "stopped"
-        move_type = other(move_type)
-        triple = landing[0]
+        move_type = 3 - move_type
+        triple, edges = landing
         if triple == origin and move_type == first:
             return kept, "closed"
         if triple in seen:
@@ -223,7 +233,6 @@ def _walk(board, rated, origin, edges, first, within):
             return kept, "left"
         kept.append(landing)
         seen.add(triple)
-        state = landing
 
 
 def trace(board, moves, start, first_move_type, max_points=10_000):
@@ -235,11 +244,12 @@ def trace(board, moves, start, first_move_type, max_points=10_000):
     InternalInvariantError.
     """
 
+    _require_move_pair(moves)
     _require_move_type(first_move_type)
     _require_int(max_points, "max_points", 1)
     start = _as_point(start)
     origin = _homogeneous(start)
-    rated = [(move, _alongs(board, move)) for move in moves]
+    rated = [(move, _exits(board, move)) for move in moves]
     edges = _edges_of(board, origin)
     kept, end = _walk(board, rated, origin, edges, first_move_type,
                       lambda landed, _: len(landed) + 1 < max_points)
@@ -262,6 +272,7 @@ def corner_trajectories(board, moves, max_points=10_000):
     ones are retained so callers can index the list by (corner, first type).
     """
 
+    _require_move_pair(moves)
     _require_int(max_points, "max_points", 1)
     return (trace(board, moves, corner, move_type, max_points)
             for corner in board.corners for move_type in (1, 2))
@@ -281,6 +292,7 @@ def augment(board, moves, trajectory):
             )
         return beyond
 
+    _require_move_pair(moves)
     if trajectory.status is TrajectoryStatus.CYCLIC:
         return trajectory
     backward_open, forward_open = _OPEN_ENDS[trajectory.status]
@@ -312,8 +324,9 @@ def partition_into_trajectories(board, moves, points):
     Components come in the order of their smallest points.
     """
 
+    _require_move_pair(moves)
     pool = {_homogeneous(p): p for p in map(_as_point, points)}
-    rated = [(move, _alongs(board, move)) for move in moves]
+    rated = [(move, _exits(board, move)) for move in moves]
     done = set()
     out = []
     for h in sorted(pool, key=pool.get):

@@ -173,21 +173,28 @@ def _point_on_row(triple, row):
     A prime power dividing x and w divides b·y, and the prime does not
     divide y, so gcd(x, w) divides b; likewise gcd(y, w) divides a.
     Each gcd therefore starts from the small row entry.  With b = 0,
-    x/w is c/a; with a = 0, y/w is c/b.
+    x/w is c/a; with a = 0, y/w is c/b.  The point skips Point2.__init__.
     """
     x, y, w = triple
     a, b, c = row
     if b:
         g = gcd(b, x, w)
-        px = _coprime_fraction(x // g, w // g)
+        px = (_coprime_fraction(x // g, w // g) if g != 1
+              else _coprime_fraction(x, w))
     else:
-        px = Fraction(c, a)
+        g = gcd(c, a) if a > 0 else -gcd(c, a)
+        px = _coprime_fraction(c // g, a // g)
     if a:
         g = gcd(a, y, w)
-        py = _coprime_fraction(y // g, w // g)
+        py = (_coprime_fraction(y // g, w // g) if g != 1
+              else _coprime_fraction(y, w))
     else:
-        py = Fraction(c, b)
-    return Point2(px, py)
+        g = gcd(c, b) if b > 0 else -gcd(c, b)
+        py = _coprime_fraction(c // g, b // g)
+    point = object.__new__(Point2)
+    object.__setattr__(point, "x", px)
+    object.__setattr__(point, "y", py)
+    return point
 
 
 def cross(ax, ay, bx, by):

@@ -25,6 +25,7 @@ from riderflow import (
     augment,
     canonical_move,
     characterize_vertex,
+    classify_cycle,
     closed_form_inclined,
     closed_form_mirror,
     closed_form_orthogonal,
@@ -38,6 +39,7 @@ from riderflow import (
     fit,
     inclined_crossing_point,
     matrix_rank,
+    partition_into_trajectories,
     point_denominator,
     simulate_float,
     trace,
@@ -58,6 +60,7 @@ INCLINED = (canonical_move(2, 1), canonical_move(1, 2))
 ORTH = (canonical_move(2, 1), canonical_move(1, -2))
 BISHOP = (canonical_move(1, 1), canonical_move(1, -1))
 LATERAL = (canonical_move(2, 1), canonical_move(2, -1))
+PARALLEL = (INCLINED[0], INCLINED[0])
 
 
 # -- crossing points --------------------------------------------------------
@@ -174,7 +177,7 @@ ARGUMENT_RULES = [
     _rule("vertex_oracle", "q", lambda b: vertex_oracle(b, INCLINED, -1),
           ValueError, "q must be nonnegative, got -1", "-1"),
     _rule("vertex_oracle", "moves",
-          lambda b: vertex_oracle(b, (INCLINED[0], INCLINED[0]), 2),
+          lambda b: vertex_oracle(b, PARALLEL, 2),
           ValueError, "need two nonparallel moves", "parallel"),
     _rule("enumerate_rigid_cycles", "max_length",
           lambda b: enumerate_rigid_cycles(b, ORTH, 5.5),
@@ -233,6 +236,39 @@ ARGUMENT_RULES = [
     _rule("simulate_float", "first_move_type",
           lambda b: simulate_float(b, (0.5, 2.0), (0.0, 0.0), 1.0),
           ValueError, "move type must be 1 or 2, got 1.0", "1.0"),
+    # a parallel pair or a lone move, refused before any walk or count
+    *(_rule(function, "moves", call, ValueError,
+            "need two nonparallel moves", case)
+      for function, case, call in [
+          ("trace", "parallel",
+           lambda b: trace(b, PARALLEL, (0, F(1, 3)), 1, 5)),
+          ("trace", "one", lambda b: trace(b, ORTH[:1], (0, F(1, 3)), 1)),
+          ("corner_trajectories", "parallel",
+           lambda b: corner_trajectories(b, PARALLEL)),
+          ("partition_into_trajectories", "parallel",
+           lambda b: partition_into_trajectories(b, PARALLEL,
+                                                 [(0, F(1, 3))])),
+          ("augment", "parallel",
+           lambda b: augment(b, PARALLEL, _window_b(b))),
+          ("enumerate_rigid_cycles", "parallel",
+           lambda b: enumerate_rigid_cycles(b, PARALLEL, 4)),
+          ("classify_cycle", "parallel", lambda b: classify_cycle(
+              b, PARALLEL, enumerate_rigid_cycles(b, ORTH, 4)[0])),
+          ("arrangement_of", "parallel",
+           lambda b: arrangement_of(b, PARALLEL, [(0, 0)])),
+          ("characterize_vertex", "parallel",
+           lambda b: characterize_vertex(b, PARALLEL, [(0, 0)])),
+          ("denominator", "parallel", lambda b: denominator(b, PARALLEL, 2)),
+          ("closed_form_inclined", "parallel",
+           lambda b: closed_form_inclined(PARALLEL, 2)),
+          ("inclined_crossing_point", "parallel",
+           lambda b: inclined_crossing_point(PARALLEL, 1)),
+          ("count", "one", lambda b: count(INCLINED[:1], 2, 3)),
+          ("count_series", "parallel",
+           lambda b: count_series(PARALLEL, 2, 3)),
+          ("conjecture_report", "parallel",
+           lambda b: conjecture_report(PARALLEL, 2, 8)),
+      ]),
 ]
 
 
@@ -247,7 +283,7 @@ def test_sizes_must_be_ints(square, function, parameter, call, error,
 
 
 RULED_PARAMETERS = {"q", "n", "n_max", "m", "index", "period", "steps",
-                    "max_points", "max_length", "first_move_type"}
+                    "max_points", "max_length", "first_move_type", "moves"}
 
 
 def test_every_ruled_parameter_has_a_rule_row():

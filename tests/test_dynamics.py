@@ -362,14 +362,27 @@ def _hexagon():
     return Board.from_corners([(0, 0), (3, 0), (4, 2), (3, 4), (0, 4), (-1, 2)])
 
 
+# Boards on a grid of sixths: every row of the triangle has |a|, |b| > 1;
+# the quadrilateral's bottom row is the axis row y = 0.
+BOARDS = {
+    "hexagon": _hexagon,
+    "triangle": lambda: Board.from_corners(
+        [(0, 0), (F(5, 3), F(1, 2)), (F(2, 3), F(7, 6))]),
+    "quadrilateral": lambda: Board.from_corners(
+        [(0, 0), (F(3, 2), 0), (F(5, 3), F(5, 6)), (F(1, 3), F(7, 6))]),
+}
+
+
 def _named_board(request, name):
-    """The test hexagon, or the conftest fixture of that name."""
-    return _hexagon() if name == "hexagon" else request.getfixturevalue(name)
+    """A board of BOARDS, or the conftest fixture of that name."""
+    return BOARDS[name]() if name in BOARDS else request.getfixturevalue(name)
 
 
-# 300-point windows whose coordinates reach 100-260 bits: corner starts
+# 300-point windows whose coordinates reach 100-1,100 bits: corner starts
 # (two entering edges) and edge starts, cut by the budget or stopped
-# behind the start.
+# behind the start.  The last two reach both branches of each
+# coordinate in `_point_on_row`: a gcd with a row entry |a|, |b| > 1,
+# and an axis row's c/a or c/b.
 REAL_SIZE_ORBITS = [
     ("pentagon", ORTH, 1, 2),
     ("pentagon", (VERTICAL, canonical_move(3, 1)), 0, 1),
@@ -379,6 +392,8 @@ REAL_SIZE_ORBITS = [
     ("hexagon", (VERTICAL, canonical_move(3, 1)), 3, 2),
     ("hexagon", ORTH, F(1, 3), 1),
     ("hexagon", (VERTICAL, canonical_move(3, 1)), F(1, 3), 2),
+    ("triangle", ORTH, 0, 1),
+    ("quadrilateral", (VERTICAL, canonical_move(3, 1)), F(2, 5), 1),
 ]
 
 
@@ -633,6 +648,28 @@ def test_trace_that_revisits_a_point_raises(monkeypatch, square):
     with pytest.raises(InternalInvariantError, match=(
             r"the walk from .* revisits a point without closing a cycle")):
         trace(square, INCLINED, h, 1)
+
+
+def test_each_call_builds_each_move_exit_table_once(monkeypatch, square):
+    # a table per move and call, never per step: 301 steps of a trace,
+    # one antipode, and a partition into a path and a rigid cycle
+    built, exits = [], dynamics._exits
+
+    def counted(board, move):
+        built.append(move)
+        return exits(board, move)
+
+    path = trace(square, ORTH, (0, F(1, 3)), 1, 300).points
+    cycle = enumerate_rigid_cycles(square, ORTH, 4)[0].points
+    monkeypatch.setattr(dynamics, "_exits", counted)
+    assert len(trace(square, ORTH, (0, F(1, 3)), 1, 300)) == 300
+    assert built == list(ORTH)
+    built.clear()
+    antipode(square, ORTH[1], (0, F(1, 3)))
+    assert built == [ORTH[1]]
+    built.clear()
+    parts = partition_into_trajectories(square, ORTH, path + cycle)
+    assert len(parts) == 2 and built == list(ORTH)
 
 
 def test_trace_steps_once_per_point(monkeypatch, square):

@@ -1,3 +1,4 @@
+import dataclasses
 import pickle
 from fractions import Fraction
 from math import gcd
@@ -251,6 +252,14 @@ def test_fraction_keeps_the_slots_the_point_builder_sets():
     assert Fraction.__slots__ == ("_numerator", "_denominator")
 
 
+def test_point_keeps_the_fields_the_point_builder_sets():
+    # _point_on_row sets x and y on a bare Point2, as its __init__ would,
+    # and skips __post_init__: a new field or a slot layout needs the
+    # builder looked at again
+    assert not hasattr(Point2, "__slots__")
+    assert [f.name for f in dataclasses.fields(Point2)] == ["x", "y"]
+
+
 @st.composite
 def triples_on_rows(draw):
     """A reduced triple (x, y, w), w > 0, of up to about 2,000 bits, and
@@ -283,3 +292,16 @@ def test_point_on_row_matches_the_fraction_constructor(case):
         again = pickle.loads(pickle.dumps(got))
         assert type(again) is Fraction and again == want
         assert again.numerator == want.numerator
+    # the bare-built point acts as the public constructor's point
+    want = Point2(Fraction(x, w), Fraction(y, w))
+    assert type(point) is Point2
+    assert point == want and hash(point) == hash(want)
+    assert repr(point) == repr(want) and str(point) == str(want)
+    beyond = Point2(want.x, want.y + 1)
+    assert not point < want and not want < point
+    assert point < beyond and not beyond < point and point <= want
+    again = pickle.loads(pickle.dumps(point))
+    assert again == want and hash(again) == hash(want)
+    assert dataclasses.replace(point, y=want.y + 1) == beyond
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        point.x = want.y
