@@ -13,7 +13,10 @@ those generating points exactly:
   * interior crossings of two such augmented windows with total length
     at most q - 1,
 
-and reports the lcm of their coordinate denominators.  Closed-form
+and reports the lcm of their coordinate denominators.  Each corner, and
+each rigid cycle, is a flow: its chords and a price, the fewest core
+points a window needs before its augmentation covers a given set of
+them; a crossing counts while its price is at most q - 1.  Closed-form
 values for the three special square-board move families are provided
 alongside, plus a brute-force oracle for small q and an exact vertex
 decomposition for configurations.
@@ -24,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from math import ceil, gcd, inf, lcm
+from math import ceil, gcd, lcm
 
 from .geometry import (
     InternalInvariantError,
@@ -143,75 +146,32 @@ def crossing_points(board, a, b=None):
     ]
 
 
-def _window_cost(indices):
-    # smallest count of core points covering the given segments of a
-    # two-sided window indexed with the corner at position 0
-    return max(*indices, 0) + max(*(-i - 1 for i in indices), 0) + 1
+def _window_cost(positions):
+    """The fewest core points, the corner among them, whose augmented
+    window covers the segments at these positions.  A corner's forward
+    segment i sits at position i and its backward segment k at -k - 1."""
+    return max(*positions, 0) + max(*(-i - 1 for i in positions), 0) + 1
 
 
-@dataclass(frozen=True)
-class _Flow:
-    """A maximal trajectory (or cycle): its chords and their window costs.
+def _corner_flow(forward, backward):
+    """A corner's flow from its two traces: their chords, and the price
+    of a set of them (indices into the chords) by `_window_cost`.
 
-    A cost is the length of the shortest window of core points whose
-    augmentation covers the given segments while still containing the
-    corner; cycles that are not corner-anchored are all-or-nothing.
-    cost[i] covers segment i alone, pair_cost[i, j] segments i < j of
-    different move types together.
+    A cycle of length l through the corner comes back from the backward
+    trace reversed, so each of its segments sits at both i and i - l.
+    Its chords i < j together cost l + i - j from positions i and j - l,
+    and alone at most l, so no price needs capping at the whole cycle.
     """
-
-    chords: tuple  # of (a, b, c, move_type), one per segment
-    cost: tuple
-    pair_cost: dict
-
-
-def _flow(segments, positions, cap):
-    """Cost a flow whose segment k may sit at any index in positions[k].
-
-    Corner flows are indexed with their corner at position 0; segment i
-    joins positions i and i + 1, so i runs negative on the backward
-    side, and a corner cycle of length l offers both i and i - l.  No
-    cost exceeds `cap`, the price of a whole cycle.
-    """
-
-    def cost(*ks):
-        choices = product(*(positions[k] for k in ks))
-        return min([cap, *(_window_cost(c) for c in choices)])
-
-    pairs = {
-        (i, j): cost(i, j)
-        for i, j in combinations(range(len(segments)), 2)
-        if segments[i][2] != segments[j][2]
-    }
-    costs = tuple(cost(k) for k in range(len(segments)))
-    return _Flow(_chords(segments), costs, pairs)
-
-
-def _cycle_flow(trajectory, anchored):
-    """A cyclic flow; `anchored` when its first point is a board corner."""
-    l = len(trajectory.points)
-    positions = [(i, i - l) if anchored else () for i in range(l)]
-    return _flow(trajectory.segments(), positions, l)
-
-
-def _corner_flows(windows):
-    """Per corner: its flow and points, from its two windows in turn."""
-    out = []
-    for fwd, bwd in zip(windows[::2], windows[1::2]):
-        if fwd.status is TrajectoryStatus.CYCLIC:
-            out.append((_cycle_flow(fwd, anchored=True), fwd.points))
-            continue
-        if bwd.status is TrajectoryStatus.CYCLIC:
-            raise InternalInvariantError(
-                f"backward trace from {fwd.points[0]} closed a cycle the "
-                "forward trace missed"
-            )
-        # backward segment k joins positions -k and -k - 1
-        positions = [(i,) for i in range(len(fwd) - 1)]
-        positions += [(-k - 1,) for k in range(len(bwd) - 1)]
-        flow = _flow(fwd.segments() + bwd.segments(), positions, inf)
-        out.append((flow, fwd.points + bwd.points))
-    return out
+    if (forward.status is TrajectoryStatus.CYCLIC) \
+            != (backward.status is TrajectoryStatus.CYCLIC):
+        raise InternalInvariantError(
+            f"the two traces from {forward.points[0]} disagree on closing "
+            "a cycle"
+        )
+    ahead, behind = forward.segments(), backward.segments()
+    positions = [*range(len(ahead)), *range(-1, -len(behind) - 1, -1)]
+    return (_chords(ahead + behind),
+            lambda *ks: _window_cost([positions[k] for k in ks]))
 
 
 def denominator(board, moves, q):
@@ -225,31 +185,36 @@ def denominator(board, moves, q):
             triple, point = found
             contributions[(category, triple)] = point
 
+    # (chords, price): price(*ks) counts the core points a window needs
+    # before its augmentation covers chords ks
     flows = []
     windows = cycles = ()
     if q >= 1:
         windows = tuple(corner_trajectories(board, moves, q))
-        for flow, points in _corner_flows(windows):
-            flows.append(flow)
-            for p in points:
+        for forward, backward in zip(windows[::2], windows[1::2]):
+            flows.append(_corner_flow(forward, backward))
+            for p in forward.points + backward.points:
                 add("corner-trajectory-point", (_homogeneous(p), p))
         cycles = tuple(enumerate_rigid_cycles(board, moves, q))
         for traj in cycles:
-            flows.append(_cycle_flow(traj, anchored=False))
+            # a rigid cycle is covered by all of its points or by none
+            flows.append((_chords(traj.segments()),
+                          lambda *ks, l=len(traj): l))
             for p in traj.points:
                 add("rigid-cycle-point", (_homogeneous(p), p))
 
     budget = q - 1
-    for flow in flows:
-        chords = flow.chords
-        for (i, j), cost in flow.pair_cost.items():
-            if cost <= budget:
-                add("self-cross", _crossing(board, chords[i], chords[j]))
-    for fa, fb in combinations(flows, 2):
-        for ca, cost_a in zip(fa.chords, fa.cost):
+    for chords, price in flows:
+        for (i, a), (j, b) in combinations(enumerate(chords), 2):
+            if a[3] != b[3] and price(i, j) <= budget:
+                add("self-cross", _crossing(board, a, b))
+    alone = [(chords, [price(k) for k in range(len(chords))])
+             for chords, price in flows]
+    for (chords_a, costs_a), (chords_b, costs_b) in combinations(alone, 2):
+        for ca, cost_a in zip(chords_a, costs_a):
             if cost_a >= budget:
                 continue
-            for cb, cost_b in zip(fb.chords, fb.cost):
+            for cb, cost_b in zip(chords_b, costs_b):
                 if cost_a + cost_b <= budget:
                     add("cross", _crossing(board, ca, cb))
 

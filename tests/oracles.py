@@ -27,6 +27,13 @@ parameters and range-checks them before the interior test, and a piece
 lies on a segment when it is collinear with it and between its ends.
 `riderflow.denominator` works on the lines that carry the segments.
 
+`denominator_contributions` builds the contributions from their
+definition: it steps every window through each corner with
+`stepped_trace`, augments each short one, and takes crossings from
+`crossing_points` and cycles from `rigid_cycles`.  It prices no
+segment, where `riderflow.denominator` prices each set of chords by
+the smallest window that covers them.
+
 `closed_form_inclined` folds the lcm over every corner-window point and
 crossing of the inclined family, one `rho` power each.
 
@@ -546,6 +553,52 @@ def vertex_certificates(board, moves, pieces):
                 witness[move_type] = (a, b, move_type)
         out.append((z, witness[1], witness[2]))
     return tuple(out)
+
+
+def _corner_windows(board, moves, corner, q):
+    """Every window of at most q points that holds the corner: k
+    backward steps from it, then forward through it."""
+    if q < 1:
+        return []
+    backward = stepped_trace(board, moves, corner, 2, q)
+    out = {}
+    for k, start in enumerate(backward.points):
+        # the move that took point k - 1 to point k leads back
+        first = 1 if k % 2 == 0 else 2
+        for m in range(k + 1, q + 1):
+            window = stepped_trace(board, moves, start, first, m)
+            out[window.points] = window
+    return list(out.values())
+
+
+def denominator_contributions(board, moves, q):
+    """The (category, point) pairs `denominator` should report, from the
+    definition: the points of every window of at most q points through a
+    corner and of every rigid cycle of length at most q; the
+    self-crossings of each augmented window, or rigid cycle, of length at
+    most q - 1; and the crossings of two of them, from different corners
+    or cycles, whose lengths total at most q - 1."""
+    found = set()
+    groups = []  # per corner and per rigid cycle: (length, augmented window)
+    for corner in board.corners:
+        windows = _corner_windows(board, moves, corner, q)
+        found |= {("corner-trajectory-point", p)
+                  for w in windows for p in w.points}
+        groups.append([(len(w), augment(board, moves, w))
+                       for w in windows if len(w) <= q - 1])
+    for cycle in rigid_cycles(board, moves, q):
+        found |= {("rigid-cycle-point", p) for p in cycle.points}
+        groups.append([(len(cycle), cycle)] if len(cycle) <= q - 1 else [])
+    for group in groups:
+        for _, w in group:
+            found |= {("self-cross", pt)
+                      for pt, _, _ in crossing_points(board, w)}
+    for group_a, group_b in combinations(groups, 2):
+        for (m_a, a), (m_b, b) in product(group_a, group_b):
+            if m_a + m_b <= q - 1:
+                found |= {("cross", pt)
+                          for pt, _, _ in crossing_points(board, a, b)}
+    return found
 
 
 def closed_form_inclined(moves, q):

@@ -340,32 +340,84 @@ def test_denominator_rejects_parallel_moves(square):
 # its corner (2, -2) starts a 4-cycle for moves (1, -2), (3, -1)
 HEXAGON = [(-2, 1), (1, -2), (2, -2), (2, 0), (1, 1), (-1, 2)]
 
-# boards with a corner whose trace closes a cycle (the corner-anchored
-# flow), the denominators for q = 1..6 and the corner
-ANCHORED_CYCLES = [
-    (
-        HEXAGON,
-        (canonical_move(1, -2), canonical_move(3, -1)),
-        Point2(2, -2),
-        [1, 12, 60, 60, 180, 360],
-    ),
+PENTAGON = [(0, 0), (1, 0), (F(3, 2), 1), (F(1, 2), 2), (F(-1, 2), 1)]
+
+# boards where the trace from a corner closes a cycle: the board, the
+# moves, that corner, the denominators for q = 0..10 and a sha256 over
+# _report_rows of those eleven reports, recorded while a corner cycle
+# was priced from its forward trace, each segment at i or i - l, capped
+# at l
+CORNER_CYCLES = [
+    (PENTAGON, (canonical_move(1, -4), canonical_move(3, 1)), Point2(0, 0),
+     [1, 2, 70, 1820, 1820, 1820, 12740, 25480, 25480, 25480, 178360],
+     "ec4936c3bfabbacfceef0c8bb628fca04a3476c04926385fc6475f28c4506ef1"),
+    (PENTAGON, (canonical_move(1, 4), canonical_move(3, -1)), Point2(1, 0),
+     [1, 2, 70, 1820, 1820, 1820, 12740, 25480, 25480, 25480, 178360],
+     "94b92231ee35403565dc53ccc1adbae443b870937340fd90252aa247cbcab202"),
+    (HEXAGON, (canonical_move(1, -2), canonical_move(3, -1)), Point2(2, -2),
+     [1, 1, 12, 60, 60, 180, 360, 360, 360, 1080, 2160],
+     "d3310053edde6a5b7bf9bbfea7050ebd39380182633c8a85df0ba0a887366d03"),
+    (HEXAGON, (canonical_move(1, 4), canonical_move(4, -3)), Point2(2, 0),
+     [1, 1, 20, 1520, 7600, 159600, 1596000, 6384000, 31920000, 670320000,
+      6703200000],
+     "95d807e893ded197e2273dbf1a037b0c98d981ebfb61eccfe150a7bd894bc23f"),
+    (HEXAGON, (canonical_move(2, -1), canonical_move(3, 4)), Point2(2, 0),
+     [1, 1, 21, 2772, 5544, 38808, 38808, 38808, 38808, 232848, 931392],
+     "03a5998ca862648b959bf0191e12b1f267ccacabef31aa68815568561d15efbe"),
     # a 6-cycle from (2, -1/2)
-    (
-        [(-1, 2), (1, -2), (2, -2), (2, F(-1, 2)), (1, 2)],
-        BISHOP,
-        Point2(2, F(-1, 2)),
-        [2, 6, 84, 84, 84, 84],
-    ),
+    ([(-1, 2), (1, -2), (2, -2), (2, F(-1, 2)), (1, 2)], BISHOP,
+     Point2(2, F(-1, 2)),
+     [1, 2, 6, 84, 84, 84, 84, 84, 84, 588, 588],
+     "a1df70554dd632894d8499412c5208163c7cdefce4c55f088d97e192081f4eae"),
+]
+CORNER_CYCLE_IDS = [
+    f"{len(corners)}-gon " + " ".join(f"{m.c},{m.d}" for m in moves)
+    for corners, moves, *_ in CORNER_CYCLES
 ]
 
 
-@pytest.mark.parametrize("corners, moves, corner, values", ANCHORED_CYCLES)
-def test_corner_cycle_flow(corners, moves, corner, values):
+def _report_rows(report):
+    """q and the value, then one row per contribution."""
+    yield f"{report.q} {report.value}"
+    for c in report.contributions:
+        yield f"{c.category} {format_point(c.point)} {c.denominator}"
+
+
+@pytest.mark.parametrize("corners, moves, corner, values, digest",
+                         CORNER_CYCLES, ids=CORNER_CYCLE_IDS)
+def test_corner_cycle_flow(corners, moves, corner, values, digest):
     board = Board.from_corners(corners)
-    assert trace(board, moves, corner, 1).status is TrajectoryStatus.CYCLIC
-    assert [denominator(board, moves, q).value for q in range(1, 7)] \
-        == values
-    assert [vertex_oracle(board, moves, q) for q in (1, 2)] == values[:2]
+    cycle = trace(board, moves, corner, 1)
+    assert cycle.status is TrajectoryStatus.CYCLIC
+    # the type-2 trace walks the same cycle the other way round
+    assert trace(board, moves, corner, 2) == Trajectory(
+        (corner, *cycle.points[:0:-1]), 2, TrajectoryStatus.CYCLIC)
+    reports = [denominator(board, moves, q) for q in range(11)]
+    assert [r.value for r in reports] == values
+    rows = "".join(f"{row}\n" for r in reports for row in _report_rows(r))
+    assert hashlib.sha256(rows.encode()).hexdigest() == digest
+    assert [vertex_oracle(board, moves, q) for q in (1, 2)] == values[1:3]
+
+
+def _contribution_pairs(report):
+    return {(c.category, c.point) for c in report.contributions}
+
+
+@pytest.mark.parametrize("corners, moves",
+                         [case[:2] for case in CORNER_CYCLES],
+                         ids=CORNER_CYCLE_IDS)
+def test_corner_cycle_contributions_match_the_definition(corners, moves):
+    board = Board.from_corners(corners)
+    for q in range(7):
+        assert _contribution_pairs(denominator(board, moves, q)) \
+            == oracles.denominator_contributions(board, moves, q)
+
+
+@given(convex_boards(), move_pairs(), st.integers(0, 4))
+@settings(max_examples=25, deadline=None)
+def test_contributions_match_the_definition(board, moves, q):
+    assert _contribution_pairs(denominator(board, moves, q)) \
+        == oracles.denominator_contributions(board, moves, q)
 
 
 def test_denominator_pentagon_matches_oracle(pentagon):
@@ -769,13 +821,8 @@ def test_chord_crossing_digest(square, pentagon):
     boards = (square, pentagon, Board.from_corners(HEXAGON))
     for board, moves in product(boards, canonical_move_pairs(2)):
         for q in range(1, 6):
-            report = denominator(board, moves, q)
-            record("denominator", f"{q} {report.value}")
-            for c in report.contributions:
-                record(
-                    "denominator",
-                    f"{c.category} {format_point(c.point)} {c.denominator}",
-                )
+            for row in _report_rows(denominator(board, moves, q)):
+                record("denominator", row)
         for a, b in _window_pairs(board, moves):
             for pt, i, j in _crossing_rows(crossing_points(board, a, b)):
                 record("crossing_points", f"{format_point(pt)} {i} {j}")
